@@ -309,34 +309,16 @@ namespace {
  * Shared body of the batched mat-vec kernels. Lanes are processed in
  * stack-resident chunks so every lane owns a private c-ascending
  * accumulator (the bit-exactness requirement) without any heap scratch;
- * the weight row is streamed once per chunk of up to kLaneChunk lanes.
- * Only the `active` leading columns of the stride-`stride` SoA tile are
+ * the weight row is streamed once per chunk of up to kBatchLaneChunk
+ * lanes. Only columns [c0, c1) of the stride-`stride` SoA tile are
  * swept — a partially occupied batch never pays flops for padding.
  */
 template <bool Accumulate>
 void
-batchedMatVecBody(const Matrix &m, const Vector &x, Index stride,
-                  Index active, Vector &y)
+batchedMatVecBody(const Matrix &m, Index row0, Index row1, const Real *px,
+                  Index stride, Index c0, Index c1, Real *py)
 {
-    HIMA_ASSERT(stride >= 1, "batchedMatVec: zero lane stride");
-    HIMA_ASSERT(active >= 1 && active <= stride,
-                "batchedMatVec: active lanes %zu outside [1, %zu]",
-                active, stride);
-    HIMA_ASSERT(m.cols() * stride == x.size(),
-                "batchedMatVec: cols %zu * stride %zu != x %zu",
-                m.cols(), stride, x.size());
-    const Index rows = m.rows();
     const Index cols = m.cols();
-    if (Accumulate)
-        HIMA_ASSERT(y.size() == rows * stride,
-                    "batchedMatVecAccumulate: y %zu != rows %zu * stride %zu",
-                    y.size(), rows, stride);
-    else
-        y.resize(rows * stride);
-
-    const Real *pm = m.data();
-    const Real *px = x.data();
-    Real *py = y.data();
 
     // Single-lane degenerate case (contiguous operands): keep the
     // accumulator in a register (the chunk array below defeats register
@@ -344,8 +326,8 @@ batchedMatVecBody(const Matrix &m, const Vector &x, Index stride,
     // Same c-ascending chain. Only valid at stride 1 — a lone active
     // lane inside a wider tile still needs the strided walk below.
     if (stride == 1) {
-        for (Index r = 0; r < rows; ++r) {
-            const Real *row = pm + r * cols;
+        for (Index r = row0; r < row1; ++r) {
+            const Real *row = m.rowPtr(r);
             Real acc = 0.0;
             for (Index c = 0; c < cols; ++c)
                 acc += row[c] * px[c];
@@ -358,10 +340,10 @@ batchedMatVecBody(const Matrix &m, const Vector &x, Index stride,
     }
 
     Real acc[kBatchLaneChunk];
-    for (Index b0 = 0; b0 < active; b0 += kBatchLaneChunk) {
-        const Index nb = std::min(kBatchLaneChunk, active - b0);
-        for (Index r = 0; r < rows; ++r) {
-            const Real *row = pm + r * cols;
+    for (Index b0 = c0; b0 < c1; b0 += kBatchLaneChunk) {
+        const Index nb = std::min(kBatchLaneChunk, c1 - b0);
+        for (Index r = row0; r < row1; ++r) {
+            const Real *row = m.rowPtr(r);
             for (Index b = 0; b < nb; ++b)
                 acc[b] = 0.0;
             for (Index c = 0; c < cols; ++c) {
@@ -381,33 +363,72 @@ batchedMatVecBody(const Matrix &m, const Vector &x, Index stride,
     }
 }
 
+/** Shape checks of the whole-matrix Vector forms, then the body. */
+template <bool Accumulate>
+void
+batchedMatVecChecked(const Matrix &m, const Vector &x, Index stride,
+                     Index active, Vector &y)
+{
+    HIMA_ASSERT(stride >= 1, "batchedMatVec: zero lane stride");
+    HIMA_ASSERT(active >= 1 && active <= stride,
+                "batchedMatVec: active lanes %zu outside [1, %zu]",
+                active, stride);
+    HIMA_ASSERT(m.cols() * stride == x.size(),
+                "batchedMatVec: cols %zu * stride %zu != x %zu",
+                m.cols(), stride, x.size());
+    if (Accumulate)
+        HIMA_ASSERT(y.size() == m.rows() * stride,
+                    "batchedMatVecAccumulate: y %zu != rows %zu * stride %zu",
+                    y.size(), m.rows(), stride);
+    else
+        y.resize(m.rows() * stride);
+    batchedMatVecBody<Accumulate>(m, 0, m.rows(), x.data(), stride, 0,
+                                  active, y.data());
+}
+
 } // namespace
+
+void
+batchedMatVecRows(const Matrix &m, Index row0, Index row1, const Real *x,
+                  Index laneStride, Index c0, Index c1, Real *y,
+                  bool accumulate)
+{
+    HIMA_ASSERT(row0 <= row1 && row1 <= m.rows() && c0 < c1 &&
+                    c1 <= laneStride,
+                "batchedMatVecRows: rows [%zu, %zu) / columns [%zu, %zu) "
+                "outside %zu x %zu",
+                row0, row1, c0, c1, m.rows(), laneStride);
+    if (accumulate)
+        batchedMatVecBody<true>(m, row0, row1, x, laneStride, c0, c1, y);
+    else
+        batchedMatVecBody<false>(m, row0, row1, x, laneStride, c0, c1, y);
+}
 
 void
 batchedMatVecInto(const Matrix &m, const Vector &x, Index laneStride,
                   Index activeLanes, Vector &y)
 {
-    batchedMatVecBody<false>(m, x, laneStride, activeLanes, y);
+    batchedMatVecChecked<false>(m, x, laneStride, activeLanes, y);
 }
 
 void
 batchedMatVecInto(const Matrix &m, const Vector &x, Index lanes, Vector &y)
 {
-    batchedMatVecBody<false>(m, x, lanes, lanes, y);
+    batchedMatVecChecked<false>(m, x, lanes, lanes, y);
 }
 
 void
 batchedMatVecAccumulate(const Matrix &m, const Vector &x, Index laneStride,
                         Index activeLanes, Vector &y)
 {
-    batchedMatVecBody<true>(m, x, laneStride, activeLanes, y);
+    batchedMatVecChecked<true>(m, x, laneStride, activeLanes, y);
 }
 
 void
 batchedMatVecAccumulate(const Matrix &m, const Vector &x, Index lanes,
                         Vector &y)
 {
-    batchedMatVecBody<true>(m, x, lanes, lanes, y);
+    batchedMatVecChecked<true>(m, x, lanes, lanes, y);
 }
 
 void

@@ -243,9 +243,10 @@ void matMulInto(const Matrix &a, const Matrix &b, Matrix &out);
 // (m, x, lanes, y) convenience forms below are the fully-occupied case
 // (activeLanes == laneStride).
 //
-// laneBroadcastAdd/laneAxpy have no engine callers yet (BatchedDnc
-// fuses its bias adds); they complete the kernel API for batched heads
-// with biases and are pinned by the same per-lane unit tests.
+// laneBroadcastAdd/laneAxpy have no engine callers yet (the batched
+// controller fuses its bias adds); they complete the kernel API for
+// batched heads with biases and are pinned by the same per-lane unit
+// tests.
 // ---------------------------------------------------------------------
 
 /**
@@ -283,6 +284,19 @@ void batchedMatVecAccumulate(const Matrix &m, const Vector &x,
 /** Fully-occupied convenience form: activeLanes == laneStride. */
 void batchedMatVecAccumulate(const Matrix &m, const Vector &x, Index lanes,
                              Vector &y);
+
+/**
+ * Row- and column-range form of the two kernels above, over raw SoA
+ * operands: for rows r in [row0, row1) and lanes b in [c0, c1),
+ *   y[r * laneStride + b] (= or, when accumulate, +=)
+ *       sum_c M(r, c) * x[c * laneStride + b],
+ * with the same per-lane c-ascending chain. Pool tasks own row blocks
+ * and pipelined batches own column ranges (serve/batched_controller.h),
+ * so both sweep one shared weight set without splitting a reduction.
+ */
+void batchedMatVecRows(const Matrix &m, Index row0, Index row1,
+                       const Real *x, Index laneStride, Index c0, Index c1,
+                       Real *y, bool accumulate);
 
 /**
  * Broadcast-add a per-row bias across the active lanes:

@@ -65,10 +65,11 @@ struct DncConfig
      * Lanes per worker round trip of the pipelined sharded serving
      * engine (src/shard/sharded_dnc.h PipelinedShardedLaneEngine): the
      * active lanes are stepped in batches of this many per LaneStep
-     * frame, and batch b's controller compute overlaps batch b-1's
-     * in-flight tile round trips. 0 (default) sends all active lanes in
-     * one frame — maximal syscall amortization, no overlap. Results are
-     * bit-identical per lane at any value.
+     * frame. Each batch is one sweep of the shared controller weights
+     * over its lanes, and batch b's sweep overlaps batch b-1's in-flight
+     * tile round trips. 0 (default) sends all active lanes in one frame
+     * — one weight sweep per step and maximal syscall amortization, but
+     * no overlap. Results are bit-identical per lane at any value.
      */
     Index shardLanesPerBatch = 0;
 

@@ -50,8 +50,12 @@ tileConfidenceScore(const MemoryUnit &tile, const Vector &key, Real strength)
 void
 ConfidenceGate::reset()
 {
-    lastAlphas_.clear();
-    prevAlphas_.clear();
+    // Empty each head but keep its buffer (an empty head reads as "no
+    // history"), so a serving lane's admit allocates nothing.
+    for (std::vector<Real> &alphas : lastAlphas_)
+        alphas.clear();
+    for (std::vector<Real> &alphas : prevAlphas_)
+        alphas.clear();
     scoredHeads_.clear();
 }
 

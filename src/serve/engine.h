@@ -4,12 +4,13 @@
  * of lane slots with the Free/Active/Draining lifecycle and one
  * stepInto() per engine step.
  *
- * Two implementations exist: BatchedDnc (single-process SoA batching,
- * PR 2/3) and the sharded backend (src/shard/sharded_dnc.h), where each
- * lane's external memory is distributed over wire-connected tile
- * workers. The Router is written against this interface, so moving a
- * deployment from one process to a sharded fleet is a constructor
- * change, not a router change.
+ * Two implementations exist, both built on one BatchedController
+ * (serve/batched_controller.h): BatchedDnc (single-process, a MemoryUnit
+ * tile per lane) and PipelinedShardedLaneEngine
+ * (src/shard/sharded_dnc.h), where each lane's external memory is
+ * distributed over wire-connected tile workers. The Router is written
+ * against this interface, so moving a deployment from one process to a
+ * sharded fleet is a constructor change, not a router change.
  */
 
 #ifndef HIMA_SERVE_ENGINE_H

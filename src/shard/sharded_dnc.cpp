@@ -64,84 +64,6 @@ ShardedDnc::beginEpisode()
 }
 
 // --------------------------------------------------------------------
-// ShardedLaneEngine
-// --------------------------------------------------------------------
-
-ShardedLaneEngine::ShardedLaneEngine(const DncConfig &config,
-                                     std::uint64_t seed,
-                                     const BackendFactory &factory)
-    : config_(config)
-{
-    HIMA_ASSERT(static_cast<bool>(factory),
-                "ShardedLaneEngine: null backend factory");
-    lanes_.reserve(config_.batchSize);
-    for (Index lane = 0; lane < config_.batchSize; ++lane)
-        lanes_.push_back(
-            std::make_unique<ShardedDnc>(config_, seed, factory(lane)));
-    states_.assign(config_.batchSize, LaneState::Active);
-    active_ = config_.batchSize;
-    freeSlots_.reserve(config_.batchSize);
-}
-
-void
-ShardedLaneEngine::stepInto(const std::vector<Vector> &inputs,
-                            std::vector<Vector> &outputs)
-{
-    HIMA_ASSERT(inputs.size() == states_.size(),
-                "stepInto: need one input slot per lane");
-    outputs.resize(states_.size());
-    for (Index slot = 0; slot < states_.size(); ++slot)
-        if (states_[slot] == LaneState::Active)
-            lanes_[slot]->stepInto(inputs[slot], outputs[slot]);
-}
-
-Index
-ShardedLaneEngine::admit()
-{
-    HIMA_ASSERT(!freeSlots_.empty(), "admit: no free lanes");
-    const Index slot = freeSlots_.back();
-    freeSlots_.pop_back();
-    lanes_[slot]->beginEpisode();
-    states_[slot] = LaneState::Active;
-    ++active_;
-    return slot;
-}
-
-void
-ShardedLaneEngine::markDraining(Index slot)
-{
-    HIMA_ASSERT(states_[slot] == LaneState::Active,
-                "markDraining: slot %zu is not Active", slot);
-    states_[slot] = LaneState::Draining;
-    --active_;
-    ++draining_;
-}
-
-void
-ShardedLaneEngine::release(Index slot)
-{
-    HIMA_ASSERT(states_[slot] != LaneState::Free,
-                "release: slot %zu is already Free", slot);
-    if (states_[slot] == LaneState::Active)
-        --active_;
-    else
-        --draining_;
-    states_[slot] = LaneState::Free;
-    freeSlots_.push_back(slot);
-}
-
-void
-ShardedLaneEngine::reset()
-{
-    for (auto &lane : lanes_)
-        lane->reset();
-    states_.assign(states_.size(), LaneState::Active);
-    freeSlots_.clear();
-    active_ = states_.size();
-    draining_ = 0;
-}
-
-// --------------------------------------------------------------------
 // PipelinedShardedLaneEngine
 // --------------------------------------------------------------------
 
@@ -150,7 +72,8 @@ PipelinedShardedLaneEngine::PipelinedShardedLaneEngine(
     std::shared_ptr<ShardLaneGroup> group, Index lanesPerBatch)
     : config_(config), group_(std::move(group)),
       lanesPerBatch_(lanesPerBatch != 0 ? lanesPerBatch
-                                        : config.shardLanesPerBatch)
+                                        : config.shardLanesPerBatch),
+      ctrl_(config_, seed), readouts_(config_.batchSize)
 {
     HIMA_ASSERT(group_ != nullptr, "null shard lane group");
     HIMA_ASSERT(group_->lanes() == config_.batchSize,
@@ -162,142 +85,89 @@ PipelinedShardedLaneEngine::PipelinedShardedLaneEngine(
                     mem.readHeads == config_.readHeads &&
                     mem.fixedPoint == config_.fixedPoint,
                 "shard fleet shapes diverge from config");
-
-    // One controller per lane, each drawn exactly like
-    // ShardedDnc(config, seed)'s so dedicated reference runs share the
-    // weights bit for bit.
-    for (Index lane = 0; lane < config_.batchSize; ++lane) {
-        Rng rng(seed);
-        controllers_.push_back(std::make_unique<Controller>(config_, rng));
-        lastReads_.emplace_back(config_.readHeads,
-                                Vector(config_.memoryWidth));
-    }
-    readouts_.resize(config_.batchSize);
-    states_.assign(config_.batchSize, LaneState::Active);
-    active_ = config_.batchSize;
-    freeSlots_.reserve(config_.batchSize);
+    batchLanes_.reserve(config_.batchSize);
+    batchIfaces_.reserve(config_.batchSize);
+    batchOuts_.reserve(config_.batchSize);
 }
 
 void
-PipelinedShardedLaneEngine::finishBatch(Index first, Index count,
+PipelinedShardedLaneEngine::sortBatch(Index c0, Index c1)
+{
+    // Compaction reorders columns, but a LaneStep frame needs strictly
+    // increasing lane ids.
+    batchLanes_.clear();
+    for (Index c = c0; c < c1; ++c)
+        batchLanes_.push_back(ctrl_.columnSlot(c));
+    std::sort(batchLanes_.begin(), batchLanes_.end());
+}
+
+void
+PipelinedShardedLaneEngine::finishBatch(Index c0, Index c1,
                                         std::vector<Vector> &outputs)
 {
+    sortBatch(c0, c1);
     batchOuts_.clear();
-    for (Index j = 0; j < count; ++j)
-        batchOuts_.push_back(&readouts_[activeScratch_[first + j]]);
+    for (Index slot : batchLanes_)
+        batchOuts_.push_back(&readouts_[slot]);
     group_->gather(batchOuts_);
-    for (Index j = 0; j < count; ++j) {
-        const Index slot = activeScratch_[first + j];
-        for (Index head = 0; head < config_.readHeads; ++head)
-            std::copy(readouts_[slot].readVectors[head].begin(),
-                      readouts_[slot].readVectors[head].end(),
-                      lastReads_[slot][head].begin());
-        controllers_[slot]->outputInto(lastReads_[slot], outputs[slot]);
-    }
+    for (Index c = c0; c < c1; ++c)
+        ctrl_.storeReads(c, readouts_[ctrl_.columnSlot(c)].readVectors);
+    ctrl_.outputInto(c0, c1, outputs);
 }
 
 void
 PipelinedShardedLaneEngine::stepInto(const std::vector<Vector> &inputs,
                                      std::vector<Vector> &outputs)
 {
-    HIMA_ASSERT(inputs.size() == states_.size(),
+    HIMA_ASSERT(inputs.size() == capacity(),
                 "stepInto: need one input slot per lane");
-    outputs.resize(states_.size());
-    activeScratch_.clear();
-    for (Index slot = 0; slot < states_.size(); ++slot)
-        if (states_[slot] == LaneState::Active)
-            activeScratch_.push_back(slot);
-    const Index total = activeScratch_.size();
+    outputs.resize(capacity());
+    const Index total = ctrl_.activeLanes();
     if (total == 0)
         return;
     const Index k =
         lanesPerBatch_ == 0 ? total : std::min(lanesPerBatch_, total);
+    ctrl_.loadInputs(inputs);
 
-    // The software pipeline: scatter batch b, then — while its round
-    // trip is in flight — gather batch b-1 and emit its outputs. Each
-    // lane's own controller -> tiles -> merge -> output order is
+    // The software pipeline: sweep and scatter batch b, then — while its
+    // round trip is in flight — gather batch b-1 and emit its outputs.
+    // Each lane's controller -> tiles -> merge -> output order is
     // untouched, so per-lane results cannot depend on the overlap.
-    Index prevFirst = 0;
-    Index prevCount = 0;
-    for (Index first = 0; first < total; first += k) {
-        const Index count = std::min(k, total - first);
-        batchLanes_.clear();
-        batchIfaces_.clear();
+    Index prev0 = 0;
+    Index prev1 = 0;
+    for (Index c0 = 0; c0 < total; c0 += k) {
+        const Index c1 = std::min(c0 + k, total);
         {
-            obs::TraceSpan span("shard.controller_compute", count);
-            for (Index j = 0; j < count; ++j) {
-                const Index slot = activeScratch_[first + j];
-                // stepInto returns a reference into controller-owned
-                // storage; distinct slots use distinct controllers, so
-                // all of a batch's interfaces stay live until the
-                // scatter.
-                const InterfaceVector &iface =
-                    controllers_[slot]->stepInto(inputs[slot],
-                                                 lastReads_[slot]);
-                batchLanes_.push_back(slot);
-                batchIfaces_.push_back(&iface);
-            }
+            obs::TraceSpan span("shard.controller_compute", c1 - c0);
+            ctrl_.forward(c0, c1);
+            sortBatch(c0, c1);
+            batchIfaces_.clear();
+            for (Index slot : batchLanes_)
+                batchIfaces_.push_back(
+                    &ctrl_.decodeColumn(ctrl_.laneColumn(slot)));
         }
         group_->scatter(batchLanes_, batchIfaces_);
-        if (prevCount > 0)
-            finishBatch(prevFirst, prevCount, outputs);
-        prevFirst = first;
-        prevCount = count;
+        if (prev1 > prev0)
+            finishBatch(prev0, prev1, outputs);
+        prev0 = c0;
+        prev1 = c1;
     }
-    finishBatch(prevFirst, prevCount, outputs);
+    finishBatch(prev0, prev1, outputs);
 }
 
 Index
 PipelinedShardedLaneEngine::admit()
 {
-    HIMA_ASSERT(!freeSlots_.empty(), "admit: no free lanes");
-    const Index slot = freeSlots_.back();
-    freeSlots_.pop_back();
-    controllers_[slot]->reset();
-    for (auto &rv : lastReads_[slot])
-        rv.fill(0.0);
+    const Index slot = ctrl_.admit();
     group_->admitLane(slot);
-    states_[slot] = LaneState::Active;
-    ++active_;
     return slot;
-}
-
-void
-PipelinedShardedLaneEngine::markDraining(Index slot)
-{
-    HIMA_ASSERT(states_[slot] == LaneState::Active,
-                "markDraining: slot %zu is not Active", slot);
-    states_[slot] = LaneState::Draining;
-    --active_;
-    ++draining_;
-}
-
-void
-PipelinedShardedLaneEngine::release(Index slot)
-{
-    HIMA_ASSERT(states_[slot] != LaneState::Free,
-                "release: slot %zu is already Free", slot);
-    if (states_[slot] == LaneState::Active)
-        --active_;
-    else
-        --draining_;
-    states_[slot] = LaneState::Free;
-    freeSlots_.push_back(slot);
 }
 
 void
 PipelinedShardedLaneEngine::reset()
 {
     group_->resetAll();
-    for (Index slot = 0; slot < states_.size(); ++slot) {
-        controllers_[slot]->reset();
-        for (auto &rv : lastReads_[slot])
-            rv.fill(0.0);
-    }
-    states_.assign(states_.size(), LaneState::Active);
-    freeSlots_.clear();
-    active_ = states_.size();
-    draining_ = 0;
+    ctrl_.reset();
 }
 
 } // namespace hima

@@ -8,34 +8,32 @@
  * and only interface vectors and merged read vectors cross the
  * boundary.
  *
- * ShardedLaneEngine lifts capacity-many ShardedDnc instances behind the
- * LaneEngine surface, so the dynamic-batching Router (src/serve/) can
- * route an arrival process onto a sharded fleet unchanged. Each lane
- * owns its backend (its own tile set on the workers); admit() maps to
- * the wire's Admit control, which episode-resets the lane's remote
- * tiles in place.
- *
- * PipelinedShardedLaneEngine is the overlapped variant: every lane
- * lives on one shared ShardLaneGroup fleet (shard/pipeline.h), steps
- * travel as lane-batched frames (DncConfig::shardLanesPerBatch lanes
- * per worker round trip), and the engine runs a double-buffered step
- * window — batch B's controllers compute while batch A's tile round
- * trip is in flight. Lanes are independent, so each lane's
- * controller -> tiles -> merge -> output chain is untouched and the
- * engine stays bit-identical per lane to dedicated ShardedDnc runs
- * (proven in tests/test_shard.cpp). The Router drives it through the
- * same LaneEngine surface, unchanged.
+ * PipelinedShardedLaneEngine serves config.batchSize lanes of that
+ * model behind the LaneEngine surface the Router consumes. Every lane
+ * lives on one shared ShardLaneGroup fleet (shard/pipeline.h), and the
+ * controller side is one BatchedController (serve/batched_controller.h):
+ * a single shared weight set whose lane-interleaved activations are
+ * swept per batch, so each weight row is streamed once per batch, not
+ * once per lane. A step splits the active column prefix into contiguous
+ * ranges of DncConfig::shardLanesPerBatch lanes; each range is one
+ * LaneStep frame per worker (lane ids sorted ascending, as the wire
+ * requires), and the engine runs a double-buffered window — batch B's
+ * controller sweep runs while batch A's tile round trip is in flight,
+ * and A's output head is one batched sweep once its reads arrive.
+ * Lanes are independent and every sweep keeps one c-ascending
+ * accumulator per lane, so each lane's controller -> tiles -> merge ->
+ * output chain is bit-identical to a dedicated ShardedDnc run (proven
+ * in tests/test_shard.cpp).
  */
 
 #ifndef HIMA_SHARD_SHARDED_DNC_H
 #define HIMA_SHARD_SHARDED_DNC_H
 
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "dnc/dncd.h"
-#include "serve/engine.h"
+#include "serve/batched_controller.h"
 #include "shard/pipeline.h"
 
 namespace hima {
@@ -87,67 +85,14 @@ class ShardedDnc
 };
 
 /**
- * capacity-many ShardedDnc lanes behind the LaneEngine surface. Lanes
- * are independent models (each with its own tile backend), so there is
- * no SoA weight streaming here — the point is placement: lane state
- * lives on the shard workers, and the Router's dynamic batching,
- * admission and back-pressure apply to a distributed fleet unchanged.
- */
-class ShardedLaneEngine final : public LaneEngine
-{
-  public:
-    /** Builds the tile backend for one lane. */
-    using BackendFactory =
-        std::function<std::unique_ptr<TileMemory>(Index lane)>;
-
-    /**
-     * @param config  shapes + serving knobs; batchSize = lane count
-     * @param seed    controller weight seed, shared by every lane
-     * @param factory called once per lane at construction
-     */
-    ShardedLaneEngine(const DncConfig &config, std::uint64_t seed,
-                      const BackendFactory &factory);
-
-    void stepInto(const std::vector<Vector> &inputs,
-                  std::vector<Vector> &outputs) override;
-    Index admit() override;
-    void markDraining(Index slot) override;
-    void release(Index slot) override;
-    LaneState laneState(Index slot) const override
-    {
-        return states_[slot];
-    }
-    Index activeLanes() const override { return active_; }
-    Index drainingLanes() const override { return draining_; }
-    Index freeLanes() const override
-    {
-        return states_.size() - active_ - draining_;
-    }
-    Index capacity() const override { return states_.size(); }
-    void reset() override;
-    const DncConfig &config() const override { return config_; }
-
-    ShardedDnc &lane(Index slot) { return *lanes_[slot]; }
-    const ShardedDnc &lane(Index slot) const { return *lanes_[slot]; }
-
-  private:
-    DncConfig config_;
-    std::vector<std::unique_ptr<ShardedDnc>> lanes_;
-    std::vector<LaneState> states_;
-    std::vector<Index> freeSlots_;
-    Index active_ = 0;
-    Index draining_ = 0;
-};
-
-/**
  * The software-pipelined sharded serving engine: config.batchSize lanes
- * on one shared ShardLaneGroup fleet. stepInto() partitions the active
- * lanes into batches of `lanesPerBatch` and overlaps batch b's
- * controller compute with batch b-1's in-flight tile round trips
- * (ShardLaneGroup's double-buffered window); admit() maps to the
- * wire's per-lane Admit control, so recycling one lane never disturbs
- * its fleet neighbours. Zero steady-state allocations, like every
- * serving loop here.
+ * on one shared ShardLaneGroup fleet, driven by one BatchedController.
+ * stepInto() splits the active column prefix into contiguous batches of
+ * `lanesPerBatch` and overlaps batch b's controller sweep with batch
+ * b-1's in-flight tile round trips (ShardLaneGroup's double-buffered
+ * window); admit() maps to the wire's per-lane Admit control, so
+ * recycling one lane never disturbs its fleet neighbours. Zero
+ * steady-state allocations, lane churn included.
  */
 class PipelinedShardedLaneEngine final : public LaneEngine
 {
@@ -171,43 +116,37 @@ class PipelinedShardedLaneEngine final : public LaneEngine
     void stepInto(const std::vector<Vector> &inputs,
                   std::vector<Vector> &outputs) override;
     Index admit() override;
-    void markDraining(Index slot) override;
-    void release(Index slot) override;
+    void markDraining(Index slot) override { ctrl_.markDraining(slot); }
+    void release(Index slot) override { ctrl_.release(slot); }
     LaneState laneState(Index slot) const override
     {
-        return states_[slot];
+        return ctrl_.laneState(slot);
     }
-    Index activeLanes() const override { return active_; }
-    Index drainingLanes() const override { return draining_; }
-    Index freeLanes() const override
-    {
-        return states_.size() - active_ - draining_;
-    }
-    Index capacity() const override { return states_.size(); }
+    Index activeLanes() const override { return ctrl_.activeLanes(); }
+    Index drainingLanes() const override { return ctrl_.drainingLanes(); }
+    Index freeLanes() const override { return ctrl_.freeLanes(); }
+    Index capacity() const override { return ctrl_.capacity(); }
     void reset() override;
     const DncConfig &config() const override { return config_; }
 
     ShardLaneGroup &group() { return *group_; }
+    const BatchedController &controller() const { return ctrl_; }
     Index lanesPerBatch() const { return lanesPerBatch_; }
 
   private:
-    /** Gather one scattered batch and finish its lanes' outputs. */
-    void finishBatch(Index first, Index count,
-                     std::vector<Vector> &outputs);
+    /** batchLanes_ = the slots of columns [c0, c1), ascending. */
+    void sortBatch(Index c0, Index c1);
+
+    /** Gather the batch of columns [c0, c1) and emit its outputs. */
+    void finishBatch(Index c0, Index c1, std::vector<Vector> &outputs);
 
     DncConfig config_;
     std::shared_ptr<ShardLaneGroup> group_;
     Index lanesPerBatch_; ///< 0 = all active lanes in one frame
-    std::vector<std::unique_ptr<Controller>> controllers_; ///< per slot
-    std::vector<std::vector<Vector>> lastReads_;           ///< per slot
-    std::vector<MemoryReadout> readouts_;                  ///< per slot
-    std::vector<LaneState> states_;
-    std::vector<Index> freeSlots_;
-    Index active_ = 0;
-    Index draining_ = 0;
+    BatchedController ctrl_;
+    std::vector<MemoryReadout> readouts_; ///< per slot
 
     // Reused step scratch.
-    std::vector<Index> activeScratch_; ///< active slots, ascending
     std::vector<Index> batchLanes_;
     std::vector<const InterfaceVector *> batchIfaces_;
     std::vector<MemoryReadout *> batchOuts_;

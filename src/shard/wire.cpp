@@ -1080,7 +1080,8 @@ decodeLaneStep(const std::uint8_t *data, std::size_t size,
         return false;
     msg.lanes.resize(count);
     msg.masks.resize(count);
-    msg.ifaces.resize(count);
+    if (msg.ifaces.size() < count) // grow only: see LaneStepMsg
+        msg.ifaces.resize(count);
     for (Index j = 0; j < count; ++j) {
         msg.lanes[j] = in.u32();
         msg.masks[j] = in.u32();
@@ -1111,7 +1112,8 @@ decodeLaneStepReply(const std::uint8_t *data, std::size_t size,
     const Index w = shard.memoryWidth;
     const Index n = shard.memoryRows;
     msg.lanes.resize(count);
-    msg.tiles.resize(count * hostedTiles);
+    if (msg.tiles.size() < count * hostedTiles) // grow only: see the msg
+        msg.tiles.resize(count * hostedTiles);
     msg.confidence.resize(count * hostedTiles * r);
     for (Index j = 0; j < count; ++j) {
         msg.lanes[j] = in.u32();

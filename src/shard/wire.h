@@ -226,8 +226,11 @@ struct LaneStepEntry
 };
 
 /**
- * Decoded lane-batched scatter: `laneCount` parallel arrays. Buffers
- * resize in place, so a steady-state worker decode allocates nothing.
+ * Decoded lane-batched scatter: parallel arrays over lanes.size() frame
+ * lanes. Buffers resize in place, and `ifaces` only grows — entries past
+ * lanes.size() are stale scratch kept so that frames of varying lane
+ * counts (lane churn) reuse every interface's buffers — so a
+ * steady-state worker decode allocates nothing.
  * Lane ids are validated strictly increasing (and < the handshake's
  * lane count), which rules out duplicates — a frame stepping the same
  * lane twice would race on that lane's tiles.
@@ -245,7 +248,8 @@ struct LaneStepMsg
  * Decoded lane-batched gather: per frame lane j and hosted tile i, the
  * readout lives at tiles[j * hostedTiles + i] and its R confidence
  * logits at confidence[(j * hostedTiles + i) * R ...]. Lane ids echo
- * the request's.
+ * the request's. Like LaneStepMsg::ifaces, `tiles` only grows: entries
+ * past lanes.size() * hostedTiles are stale scratch.
  */
 struct LaneStepReplyMsg
 {

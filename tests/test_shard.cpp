@@ -11,11 +11,12 @@
  * Also here: worker protocol edge cases (reject-before-hello, config
  * validation, malformed frames answered with Error), the serving stack
  * (ShardedDnc over a coordinator == ShardedDnc over DncD; Router on a
- * ShardedLaneEngine == dedicated reference runs), the retrieval
+ * PipelinedShardedLaneEngine == dedicated reference runs), the retrieval
  * workload through the wire, and the zero-allocation steady state of a
  * loopback worker round trip (operator-new hook).
  */
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -336,6 +337,147 @@ INSTANTIATE_TEST_SUITE_P(
                (std::get<3>(info.param) ? "Fixed" : "Float");
     });
 
+// --------------------------------------------------------------------
+// Compaction order != slot order: releases and re-admits permute the
+// engine's SoA columns, so a batch's columns no longer hold ascending
+// slots. Every Active lane must still match its dedicated reference per
+// step, and the engine must sort each frame's lane ids — a frame in
+// column order is refused by the workers' fail-closed decoder.
+// --------------------------------------------------------------------
+
+class PipelinedCompactionGolden
+    : public ::testing::TestWithParam<
+          std::tuple<ClusterTransport, Index, bool>>
+{};
+
+TEST_P(PipelinedCompactionGolden, PermutedColumnsStayBitIdentical)
+{
+    const auto [transport, lanesPerBatch, fixedPoint] = GetParam();
+    const Index tiles = 2;
+    DncConfig cfg = gridConfig(tiles, 1, fixedPoint);
+    cfg.controllerSize = 20;
+    cfg.inputSize = 9;
+    cfg.outputSize = 7;
+    cfg.batchSize = 4;
+    constexpr std::uint64_t kSeed = 91;
+
+    LocalLaneCluster cluster = makeLocalLaneCluster(
+        transport, cfg, tiles, cfg.batchSize, /*workerCount=*/2);
+    ASSERT_TRUE(cluster.group != nullptr);
+    PipelinedShardedLaneEngine engine(cfg, kSeed, cluster.group,
+                                      lanesPerBatch);
+    const BatchedController &ctrl = engine.controller();
+
+    std::vector<std::unique_ptr<ShardedDnc>> refs;
+    for (Index slot = 0; slot < cfg.batchSize; ++slot)
+        refs.push_back(std::make_unique<ShardedDnc>(
+            cfg, kSeed, std::make_unique<DncD>(cfg, tiles)));
+
+    // Encode every batch of the coming step with its lanes in column
+    // order; where that order is not ascending the decoder must refuse
+    // the frame, and the sorted frame must pass.
+    Rng ifaceRng(17);
+    const InterfaceVector probe =
+        golden::randomIface(cluster.group->shardConfig(), ifaceRng);
+    int unsortedFrames = 0;
+    auto checkFrameOrder = [&] {
+        const Index total = engine.activeLanes();
+        const Index k = lanesPerBatch == 0 ? total : lanesPerBatch;
+        for (Index c0 = 0; c0 < total; c0 += k) {
+            std::vector<LaneStepEntry> entries;
+            for (Index c = c0; c < std::min(c0 + k, total); ++c)
+                entries.push_back(
+                    {static_cast<std::uint32_t>(ctrl.columnSlot(c)), 0,
+                     &probe});
+            const auto ascending = [](const LaneStepEntry &a,
+                                      const LaneStepEntry &b) {
+                return a.lane < b.lane;
+            };
+            if (std::is_sorted(entries.begin(), entries.end(), ascending))
+                continue;
+            ++unsortedFrames;
+            WireWriter w;
+            LaneStepMsg msg;
+            encodeLaneStep(1, false, entries.data(), entries.size(), w);
+            EXPECT_FALSE(decodeLaneStep(w.buffer().data(), w.buffer().size(),
+                                        cluster.group->shardConfig(),
+                                        cfg.batchSize, msg));
+            std::sort(entries.begin(), entries.end(), ascending);
+            encodeLaneStep(1, false, entries.data(), entries.size(), w);
+            EXPECT_TRUE(decodeLaneStep(w.buffer().data(), w.buffer().size(),
+                                       cluster.group->shardConfig(),
+                                       cfg.batchSize, msg));
+        }
+    };
+
+    Rng rng(733);
+    std::vector<Vector> inputs(cfg.batchSize);
+    std::vector<Vector> outputs;
+    constexpr int kSteps = 18;
+    for (int step = 0; step < kSteps; ++step) {
+        // Release 0 (via Draining) then 2, re-admit 2 then 0, with a
+        // Draining neighbour across the second admit. Columns (slot ids,
+        // Draining after the bar) go [0 1 2 3] -> [3 1 2 | 0] ->
+        // [3 1 2] -> [3 1] -> [3 1 2] -> [3 2 | 1] -> [3 2 0 | 1] ->
+        // [3 2 0] -> [3 2 0 1].
+        if (step == 5)
+            engine.markDraining(0);
+        if (step == 6)
+            engine.release(0);
+        if (step == 7)
+            engine.release(2);
+        if (step == 9) {
+            ASSERT_EQ(engine.admit(), 2u);
+            refs[2]->beginEpisode();
+        }
+        if (step == 10)
+            engine.markDraining(1);
+        if (step == 11) {
+            ASSERT_EQ(engine.admit(), 0u);
+            refs[0]->beginEpisode();
+        }
+        if (step == 13)
+            engine.release(1);
+        if (step == 14) {
+            ASSERT_EQ(engine.admit(), 1u);
+            refs[1]->beginEpisode();
+        }
+        checkFrameOrder();
+        for (Index slot = 0; slot < cfg.batchSize; ++slot)
+            inputs[slot] = rng.normalVector(cfg.inputSize);
+        engine.stepInto(inputs, outputs);
+        for (Index slot = 0; slot < cfg.batchSize; ++slot) {
+            if (engine.laneState(slot) != LaneState::Active)
+                continue;
+            SCOPED_TRACE(::testing::Message()
+                         << "lane " << slot << " step " << step);
+            ASSERT_TRUE(refs[slot]->step(inputs[slot]) == outputs[slot]);
+            EXPECT_TRUE(refs[slot]->controller().lstm().hidden() ==
+                        ctrl.laneHidden(slot));
+            EXPECT_TRUE(refs[slot]->controller().lstm().cell() ==
+                        ctrl.laneCell(slot));
+        }
+    }
+    EXPECT_EQ(ctrl.columnSlot(0), 3u); // the permutation really happened
+    if (lanesPerBatch == 1)
+        EXPECT_EQ(unsortedFrames, 0); // one-lane frames are always sorted
+    else
+        EXPECT_GT(unsortedFrames, 0);
+    EXPECT_EQ(engine.group().inFlight(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, PipelinedCompactionGolden,
+    ::testing::Combine(::testing::Values(ClusterTransport::Loopback,
+                                         ClusterTransport::Shm),
+                       ::testing::Values(Index{0}, Index{1}, Index{2}),
+                       ::testing::Bool()),
+    [](const auto &info) {
+        return std::string(transportName(std::get<0>(info.param))) + "K" +
+               std::to_string(std::get<1>(info.param)) +
+               (std::get<2>(info.param) ? "Fixed" : "Float");
+    });
+
 // A lane of a shared fleet behind the TileMemory view: merged
 // readouts, alphas and the raw hosted tile state all equal the
 // in-process DncD, for every lane independently.
@@ -515,67 +657,21 @@ TEST(ShardedDnc, WireBackendMatchesInProcessBackend)
     }
 }
 
-TEST(ShardedRouter, RoutedRequestsMatchDedicatedShardedRuns)
-{
-    DncConfig cfg = serveCfg();
-    cfg.batchSize = 3;
-    const Index tiles = 2;
-    constexpr std::uint64_t kSeed = 11;
-
-    auto engine = std::make_unique<ShardedLaneEngine>(
-        cfg, kSeed, [&cfg](Index) {
-            return loopbackBackend(cfg, tiles, 1);
-        });
-    Router router(std::move(engine));
-
-    ArrivalSpec spec;
-    spec.kind = ArrivalKind::Bursty;
-    spec.rate = 0.1;
-    spec.burstProbability = 0.2;
-    spec.burstSize = 4; // bursts exceed 3 lanes: queueing + admit churn
-    Rng traceRng(61);
-    const auto trace = makeArrivalTrace(spec, 20, traceRng);
-    ASSERT_FALSE(trace.empty());
-
-    std::size_t next = 0;
-    while (next < trace.size()) {
-        while (next < trace.size() && trace[next].step <= router.now()) {
-            ServeRequest request;
-            request.id = trace[next].ordinal;
-            request.tokens = requestTokens(trace[next], cfg.inputSize, 67);
-            ASSERT_TRUE(router.submit(std::move(request)));
-            ++next;
-        }
-        router.step();
-    }
-    router.drain();
-    ASSERT_EQ(router.completed().size(), trace.size());
-
-    // Reference: a dedicated sharded model (in-process backend — already
-    // proven equal to the wire backend above) per request.
-    ShardedDnc ref(cfg, kSeed, std::make_unique<DncD>(cfg, tiles));
-    for (const ServeResult &result : router.completed()) {
-        SCOPED_TRACE(::testing::Message() << "request " << result.id);
-        const auto tokens =
-            requestTokens(trace[result.id], cfg.inputSize, 67);
-        ASSERT_EQ(result.outputs.size(), tokens.size());
-        ref.reset();
-        for (Index t = 0; t < tokens.size(); ++t)
-            ASSERT_TRUE(ref.step(tokens[t]) == result.outputs[t])
-                << "output " << t << " diverged";
-    }
-}
-
 // --------------------------------------------------------------------
 // Router traffic on the pipelined fleet: identical to dedicated
 // sharded runs, so the pipelined engine drops into serving unchanged.
+// Lanes per batch 0 sends every active lane in one frame, 1 steps the
+// lanes one round trip each, 2 overlaps uneven batches under churn.
 // --------------------------------------------------------------------
 
-TEST(ShardedRouter, PipelinedEngineMatchesDedicatedShardedRuns)
+class ShardedRouter : public ::testing::TestWithParam<Index>
+{};
+
+TEST_P(ShardedRouter, PipelinedEngineMatchesDedicatedShardedRuns)
 {
     DncConfig cfg = serveCfg();
     cfg.batchSize = 3;
-    cfg.shardLanesPerBatch = 2; // overlapped batches under churn
+    cfg.shardLanesPerBatch = GetParam();
     const Index tiles = 2;
     constexpr std::uint64_t kSeed = 11;
 
@@ -620,6 +716,12 @@ TEST(ShardedRouter, PipelinedEngineMatchesDedicatedShardedRuns)
                 << "output " << t << " diverged";
     }
 }
+
+INSTANTIATE_TEST_SUITE_P(LanesPerBatch, ShardedRouter,
+                         ::testing::Values(Index{0}, Index{1}, Index{2}),
+                         [](const auto &info) {
+                             return "K" + std::to_string(info.param);
+                         });
 
 // --------------------------------------------------------------------
 // Bounded recv: a dead or wedged worker fails the step instead of
@@ -1293,21 +1395,39 @@ TEST(ShardZeroAlloc, SteadyStatePipelinedEngineStep)
             inputs.back().push_back(rng.normalVector(cfg.inputSize));
     }
 
+    // Lane churn inside the window: a drain, two releases and two
+    // re-admits (column swaps/moves plus the wire Admit control), with
+    // a step at every stage.
     std::vector<Vector> outputs;
-    engine.stepInto(inputs[0], outputs); // sizes every buffer, both ends
-    engine.stepInto(inputs[1], outputs);
-    engine.stepInto(inputs[2], outputs);
+    int next = 0;
+    auto step = [&] { engine.stepInto(inputs[next++ % 8], outputs); };
+    auto churnCycle = [&] {
+        engine.markDraining(0);
+        step();
+        engine.release(0);
+        engine.release(2);
+        step();
+        engine.admit();
+        engine.admit();
+        step();
+    };
+    step(); // sizes every buffer, both ends
+    step();
+    step();
+    churnCycle(); // warms the control path with the same pattern
 
     const std::uint64_t before =
         g_allocationCount.load(std::memory_order_relaxed);
-    for (int i = 3; i < 8; ++i)
-        engine.stepInto(inputs[i], outputs);
+    step();
+    churnCycle();
+    step();
     const std::uint64_t after =
         g_allocationCount.load(std::memory_order_relaxed);
     EXPECT_EQ(after - before, 0u)
         << "steady-state pipelined engine step performed heap "
-           "allocations (lane-batched encode/decode, scatter window, "
-           "worker lane step, or merge path regressed)";
+           "allocations (lane churn, lane-batched encode/decode, scatter "
+           "window, worker lane step, or merge path regressed)";
+    EXPECT_EQ(engine.activeLanes(), cfg.batchSize);
 }
 
 TEST(ShardZeroAlloc, SteadyStateWithCheckpointingAndReplayLog)

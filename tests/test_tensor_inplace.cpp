@@ -390,6 +390,26 @@ TEST_P(BatchedKernels, PartialOccupancyMatchesPerLane)
         for (Index r = 0; r < rows; ++r)
             ASSERT_EQ(soaBias[r * stride + b], soaAcc[r * stride + b])
                 << "inactive column " << b << " was biased";
+
+    // Row- and column-range form: rows [row0, row1) of columns [c0, c1)
+    // get the single-lane chain, everything else stays untouched.
+    const Index c0 = rng_.uniformInt(active);
+    const Index c1 = c0 + 1 + rng_.uniformInt(active - c0);
+    const Index row0 = rng_.uniformInt(rows);
+    const Index row1 = row0 + 1 + rng_.uniformInt(rows - row0);
+    Vector soaRange = before;
+    batchedMatVecRows(m, row0, row1, soaX.data(), stride, c0, c1,
+                      soaRange.data(), /*accumulate=*/false);
+    for (Index b = 0; b < stride; ++b) {
+        if (b < active)
+            matVecInto(m, xs[b], ref);
+        for (Index r = 0; r < rows; ++r) {
+            const bool inside = b >= c0 && b < c1 && r >= row0 && r < row1;
+            ASSERT_EQ(soaRange[r * stride + b],
+                      inside ? ref[r] : before[r * stride + b])
+                << "row " << r << " column " << b;
+        }
+    }
 }
 
 TEST_P(BatchedKernels, ScatterRowOffsetPlacesSegments)
