@@ -3,8 +3,8 @@
  * Sharded-serving benchmark: confidence-merge round-trip cost vs tile
  * count and transport. Two modes per (transport, tiles) point:
  *
- *   - sync: the single-lane ShardCoordinator, one full round trip per
- *     step (the PR-4 baseline rows, retained for comparison);
+ *   - sync: a one-lane ShardLaneGroup stepped one full round trip per
+ *     step (the baseline rows, retained for comparison);
  *   - pipelined: a ShardLaneGroup fleet serving `kBenchLanes` lanes,
  *     swept over lanes-per-batch — k lanes ride one LaneStep frame per
  *     worker and consecutive batches overlap in the double-buffered
@@ -30,8 +30,9 @@
  * next to a normal step.
  *
  * Like every bench here, a bit-exactness gate runs first: the sharded
- * stack — sync *and* pipelined — must reproduce the in-process model
- * exactly (float and fixed point) or the bench refuses to time it.
+ * stack — sync (learned write sharding included) *and* pipelined — must
+ * reproduce the in-process model exactly (float and fixed point) or the
+ * bench refuses to time it.
  * `--smoke` runs the gate plus a few tiny points, including one
  * injected kill + recovery (the sanitizer CI configuration).
  */
@@ -142,25 +143,19 @@ crossCheck(bool fixedPoint)
     cfg.fixedPoint = fixedPoint;
     const Index tiles = 4;
     // Full weightings on: the gate compares the whole readout.
-    LoopbackShard stack = makeLoopbackShard(cfg, tiles, 2);
+    LocalLaneCluster cluster = makeLocalLaneCluster(
+        ClusterTransport::Loopback, cfg, tiles, /*lanes=*/1,
+        /*workerCount=*/2, MergePolicy::Confidence, /*wantWeightings=*/true);
     DncD ref(cfg, tiles);
     Rng rng(23);
-    std::vector<InterfaceVector> perTile(tiles);
     for (int step = 0; step < 6; ++step) {
         const InterfaceVector iface = randomIface(cfg, rng);
+        // Odd steps shard the write: one tile's gate open.
+        const Index writeTile =
+            step % 2 == 0 ? kAllTiles : static_cast<Index>(step) % tiles;
         MemoryReadout a, b;
-        if (step % 2 == 0) {
-            a = ref.stepInterface(iface);
-            b = stack.coordinator->stepInterface(iface);
-        } else {
-            for (Index t = 0; t < tiles; ++t) {
-                perTile[t] = iface;
-                if (t != static_cast<Index>(step) % tiles)
-                    perTile[t].writeGate = 0.0;
-            }
-            a = ref.stepInterfaces(perTile);
-            b = stack.coordinator->stepInterfaces(perTile);
-        }
+        ref.stepInterfaceInto(iface, a, writeTile);
+        cluster.group->stepLaneInto(0, iface, b, writeTile);
         for (Index h = 0; h < cfg.readHeads; ++h) {
             if (!(a.readVectors[h] == b.readVectors[h]) ||
                 !(a.readWeightings[h] == b.readWeightings[h]))
@@ -277,32 +272,31 @@ runPoint(Transport transport, Index tiles, Index workers,
         return p;
     }
 
-    LocalShardCluster stack = makeLocalCluster(
-        toCluster(transport), cfg, tiles, workers, MergePolicy::Confidence,
-        /*wantWeightings=*/false);
+    LocalLaneCluster cluster = makeLocalLaneCluster(
+        toCluster(transport), cfg, tiles, /*lanes=*/1, workers);
+    ShardLaneGroup &group = *cluster.group;
     // A nonzero interval arms the full fault-tolerance path — frame
     // tracking, the replay log, periodic CheckpointState pulls — so
     // these rows price exactly what a recoverable deployment pays.
     std::shared_ptr<RespawnHarness> harness;
     if (checkpointInterval > 0)
-        harness = armClusterRecovery(stack, toCluster(transport));
+        harness = armClusterRecovery(cluster, toCluster(transport));
     MemoryReadout out;
     std::uint64_t steps = 0;
     // Stats are differenced around the timed loop so handshake and
     // warmup traffic is excluded; one warm step sizes every buffer.
-    stack.coordinator->stepInterfaceInto(iface, out);
+    group.stepLaneInto(0, iface, out);
     std::vector<WireTrafficStats> sentBase, recvBase;
-    for (Index k = 0; k < stack.coordinator->channelCount(); ++k) {
-        sentBase.push_back(stack.coordinator->channel(k).sentStats());
-        recvBase.push_back(stack.coordinator->channel(k).receivedStats());
+    for (Index k = 0; k < group.channelCount(); ++k) {
+        sentBase.push_back(group.channel(k).sentStats());
+        recvBase.push_back(group.channel(k).receivedStats());
     }
     p.stepsPerSec = benchStepsPerSecond([&] {
-        stack.coordinator->stepInterfaceInto(iface, out);
+        group.stepLaneInto(0, iface, out);
         ++steps;
     });
-    for (Index k = 0; k < stack.coordinator->channelCount(); ++k)
-        diffStats(stack.coordinator->channel(k), sentBase[k], recvBase[k],
-                  p);
+    for (Index k = 0; k < group.channelCount(); ++k)
+        diffStats(group.channel(k), sentBase[k], recvBase[k], p);
     p.statSteps = static_cast<double>(steps);
     return p;
 }
@@ -382,7 +376,6 @@ runPipelinedPoint(Transport transport, Index tiles, Index workers,
     return p;
 }
 
-/** One measured kill + recovery on the sync coordinator. */
 /**
  * Byte sizes of one tile's checkpoint frame under the v6 sparse
  * encoding vs the dense escape, plus the bit-identity verdict of a
@@ -499,31 +492,31 @@ runRecoveryRow(Transport transport, Index tiles, Index workers,
     row.interval = interval;
     row.denseFrames = denseFrames;
 
-    LocalShardCluster stack = makeLocalCluster(
-        toCluster(transport), cfg, tiles, workers, MergePolicy::Confidence,
-        /*wantWeightings=*/false);
-    auto harness = armClusterRecovery(stack, toCluster(transport));
+    LocalLaneCluster cluster = makeLocalLaneCluster(
+        toCluster(transport), cfg, tiles, /*lanes=*/1, workers);
+    auto harness = armClusterRecovery(cluster, toCluster(transport));
+    ShardLaneGroup &group = *cluster.group;
 
     using Clock = std::chrono::steady_clock;
     const auto stepMs = [&](MemoryReadout &out) {
         const auto t0 = Clock::now();
-        stack.coordinator->stepInterfaceInto(iface, out);
+        group.stepLaneInto(0, iface, out);
         return std::chrono::duration<double, std::milli>(Clock::now() - t0)
             .count();
     };
 
     MemoryReadout out;
-    Index sent = 0; // Step frames every worker has received
+    Index sent = 0; // LaneStep frames every worker has received
     for (Index i = 0; i < interval + 2; ++i, ++sent)
-        stack.coordinator->stepInterfaceInto(iface, out);
+        group.stepLaneInto(0, iface, out);
     row.stepMs = 1e9;
     for (Index i = 0; i < 5; ++i, ++sent)
         row.stepMs = std::min(row.stepMs, stepMs(out));
 
     FaultSpec kill;
     kill.killAtStepFrame = sent + interval / 2;
-    stack.workers[0]->injectFault(kill);
-    while (stack.coordinator->recoveries() == 0) {
+    cluster.workers[0]->injectFault(kill);
+    while (group.recoveries() == 0) {
         row.recoveryMs = stepMs(out);
         ++sent;
     }
@@ -596,7 +589,7 @@ main(int argc, char **argv)
         Transport transport;
         Index tiles;
         Index workers;
-        Index lanesPerBatch;      ///< 0 = sync coordinator
+        Index lanesPerBatch;      ///< 0 = sync (one-lane group)
         Index checkpointInterval; ///< 0 = fault tolerance unarmed
         Index rows = kBenchRows;  ///< memory rows (wire-bound rows shrink)
     };

@@ -7,7 +7,7 @@
  *   usage: shard_worker <unix:/path/to.sock | tcp:PORT | shm:/name>
  *
  * Launch one per shard host, then point shard_demo (or any
- * ShardCoordinator) at the addresses:
+ * ShardLaneGroup) at the addresses:
  *
  *   ./shard_worker unix:/tmp/tile0.sock &
  *   ./shard_worker unix:/tmp/tile1.sock &

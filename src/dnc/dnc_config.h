@@ -75,8 +75,8 @@ struct DncConfig
 
     /**
      * Checkpoint cadence of the sharded serving stack: every this many
-     * coordinator steps (per lane for the pipelined group), the
-     * coordinator pulls a CheckpointState snapshot of every worker's
+     * lane-steps (gathered across all lanes of the shard lane group),
+     * the group pulls a CheckpointState snapshot of every worker's
      * tiles and trims its replay log to the window since that snapshot.
      * On a worker death it then respawns a replacement, restores the
      * snapshot, and replays the logged window — bit-identical to an

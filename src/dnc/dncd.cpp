@@ -184,46 +184,30 @@ DncD::forEachTile(const std::function<void(Index)> &fn)
     }
 }
 
-MemoryReadout
-DncD::stepInterface(const InterfaceVector &iface)
-{
-    MemoryReadout out;
-    stepInterfaceInto(iface, out);
-    return out;
-}
-
 void
-DncD::stepInterfaceInto(const InterfaceVector &iface, MemoryReadout &out)
+DncD::stepInterfaceInto(const InterfaceVector &iface, MemoryReadout &out,
+                        Index writeTile)
 {
-    // Broadcast through reused member copies: after the first step the
-    // assignments are same-shape and allocate nothing.
-    broadcast_.resize(tiles_);
-    for (Index t = 0; t < tiles_; ++t)
-        broadcast_[t] = iface;
-    stepCore(broadcast_, out);
-}
-
-MemoryReadout
-DncD::stepInterfaces(const std::vector<InterfaceVector> &ifaces)
-{
-    MemoryReadout out;
-    stepCore(ifaces, out);
-    return out;
-}
-
-void
-DncD::stepCore(const std::vector<InterfaceVector> &ifaces,
-               MemoryReadout &out)
-{
-    HIMA_ASSERT(ifaces.size() == tiles_, "need one interface per tile");
+    HIMA_ASSERT(writeTile == kAllTiles || writeTile < tiles_,
+                "write tile %zu out of range (%zu tiles)", writeTile, tiles_);
+    // Learned write sharding: the other tiles step with the gate closed.
+    // After the first such step the copy is same-shape and allocates
+    // nothing.
+    if (writeTile != kAllTiles) {
+        quiet_ = iface;
+        quiet_.writeGate = 0.0;
+    }
 
     // Local soft write + soft read on every shard. Tiles share no state
     // (Fig. 8: all state memories are sharded), so they execute on the
     // pool; numThreads == 1 runs them sequentially, bit-identically.
-    forEachTile([&](Index t) { shards_[t]->stepInto(ifaces[t], locals_[t]); });
+    forEachTile([&](Index t) {
+        const bool writes = writeTile == kAllTiles || t == writeTile;
+        shards_[t]->stepInto(writes ? iface : quiet_, locals_[t]);
+    });
 
     const std::vector<Index> &scored = gate_.selectHeads(
-        ifaces[0], policy_, globalConfig_.readHeads, tiles_);
+        iface, policy_, globalConfig_.readHeads, tiles_);
 
     if (!scored.empty()) {
         // Content-confidence gating (Sec. 5.1): every (head, tile) score
@@ -233,8 +217,8 @@ DncD::stepCore(const std::vector<InterfaceVector> &ifaces,
             for (Index k = 0; k < scored.size(); ++k) {
                 const Index head = scored[k];
                 scoreScratch_[k * tiles_ + t] =
-                    tileConfidenceScore(*shards_[t], ifaces[0].readKeys[head],
-                                        ifaces[0].readStrengths[head]);
+                    tileConfidenceScore(*shards_[t], iface.readKeys[head],
+                                        iface.readStrengths[head]);
             }
         });
         gate_.applyScores(scoreScratch_, tiles_);

@@ -17,10 +17,10 @@
  * gating converges to for retrieval workloads (see DESIGN.md).
  *
  * The stepping surface is the abstract TileMemory: DncD is the
- * in-process implementation (tiles on a thread pool); the multi-process
- * ShardCoordinator (src/shard/coordinator.h) implements the same
- * surface over a wire protocol and must match DncD bit for bit. The
- * merge arithmetic both share lives here — ConfidenceGate (alpha
+ * in-process implementation (tiles on a thread pool); a lane of the
+ * multi-process ShardLaneGroup (src/shard/pipeline.h) implements the
+ * same surface over a wire protocol and must match DncD bit for bit.
+ * The merge arithmetic both share lives here — ConfidenceGate (alpha
  * selection + softmax) and mergeTileReadouts (the Eq. 4 weighted sum
  * plus the global-view weighting concat) — so the two backends cannot
  * drift apart numerically.
@@ -123,12 +123,15 @@ void mergeTileReadouts(const std::vector<const MemoryReadout *> &locals,
                        const DncConfig &global, Index shardRows,
                        MemoryReadout &out);
 
+/** Write target meaning "every tile's write gate stays as emitted". */
+constexpr Index kAllTiles = 0xFFFFFFFFu;
+
 /**
  * The stepping surface of a sharded DNC memory: Nt tiles driven by
  * scripted (or controller-emitted) interface vectors with the
  * read-vector merge applied. Implemented in-process by DncD and over
- * the wire by ShardCoordinator; ShardedDnc and the workload harness
- * accept either.
+ * the wire by a ShardLaneGroup lane; ShardedDnc and the workload
+ * harness accept either.
  */
 class TileMemory
 {
@@ -136,31 +139,28 @@ class TileMemory
     virtual ~TileMemory() = default;
 
     /**
-     * Drive every shard with the same interface vector and merge the
-     * read vectors (Fig. 8: queries broadcast; soft read/write execute
+     * Drive every shard with the interface vector and merge the read
+     * vectors (Fig. 8: queries broadcast; soft read/write execute
      * locally per tile; only the read-vector merge is global).
-     */
-    virtual MemoryReadout stepInterface(const InterfaceVector &iface) = 0;
-
-    /**
-     * Drive each shard with its own *sub interface vector* (the Fig. 8
-     * arrangement: the trained LSTM emits per-tile interfaces, e.g.
-     * raising the write gate on exactly the tile that should store this
-     * item). Read-vector merge is identical to stepInterface().
-     */
-    virtual MemoryReadout
-    stepInterfaces(const std::vector<InterfaceVector> &ifaces) = 0;
-
-    /**
-     * Destination-passing broadcast step for serving loops; backends
-     * with reusable buffers (the shard coordinator) override this to
-     * avoid per-step readout allocation. Bit-identical to
-     * stepInterface().
+     *
+     * `writeTile` is learned write sharding (the trained LSTM raising
+     * the write gate on exactly the tile that should store this item):
+     * every tile except `writeTile` steps with writeGate = 0. Read
+     * fields always broadcast, so the merge is the same either way.
+     * Destination-passing: backends reuse their buffers, so a serving
+     * loop allocates nothing per step.
      */
     virtual void stepInterfaceInto(const InterfaceVector &iface,
-                                   MemoryReadout &out)
+                                   MemoryReadout &out,
+                                   Index writeTile = kAllTiles) = 0;
+
+    /** Allocating form of stepInterfaceInto(). */
+    MemoryReadout
+    stepInterface(const InterfaceVector &iface, Index writeTile = kAllTiles)
     {
-        out = stepInterface(iface);
+        MemoryReadout out;
+        stepInterfaceInto(iface, out, writeTile);
+        return out;
     }
 
     /** Reset all shards and merge state (episode boundary). */
@@ -169,8 +169,8 @@ class TileMemory
     /**
      * Episode-boundary reset that marks the start of a *new admitted
      * episode* (the serving path's admit()); identical state effect to
-     * reset(). The shard coordinator maps this to the wire's Admit
-     * control so workers can account served episodes.
+     * reset(). Wire backends map this to the wire's Admit control so
+     * workers can account served episodes.
      */
     virtual void beginEpisode() { reset(); }
 
@@ -197,18 +197,13 @@ class DncD : public TileMemory
     DncD(const DncConfig &config, Index tiles,
          MergePolicy policy = MergePolicy::Confidence);
 
-    MemoryReadout stepInterface(const InterfaceVector &iface) override;
-    MemoryReadout
-    stepInterfaces(const std::vector<InterfaceVector> &ifaces) override;
-
     /**
-     * Destination-passing broadcast step: zero steady-state allocations
-     * (the broadcast copies and the merge write into reused buffers),
-     * so in-process-backed ShardedDnc lanes run the same allocation-
-     * free serving loop as wire-backed ones.
+     * Zero steady-state allocations: tiles read the caller's interface
+     * directly (the write-sharded step adds one reused copy with the
+     * gate closed) and the merge writes into reused buffers.
      */
-    void stepInterfaceInto(const InterfaceVector &iface,
-                           MemoryReadout &out) override;
+    void stepInterfaceInto(const InterfaceVector &iface, MemoryReadout &out,
+                           Index writeTile = kAllTiles) override;
 
     /** Reset all shards. */
     void reset() override;
@@ -231,10 +226,6 @@ class DncD : public TileMemory
     /** Run fn(0..tiles_-1), on the pool when one is configured. */
     void forEachTile(const std::function<void(Index)> &fn);
 
-    /** Shared step body: tiles, gate, scores, merge into `out`. */
-    void stepCore(const std::vector<InterfaceVector> &ifaces,
-                  MemoryReadout &out);
-
     DncConfig globalConfig_;
     DncConfig shardConfig_;
     Index tiles_;
@@ -245,7 +236,7 @@ class DncD : public TileMemory
     std::unique_ptr<ThreadPool> pool_;   ///< present when numThreads > 1
     std::vector<MemoryReadout> locals_;  ///< per-tile readouts, reused
     std::vector<const MemoryReadout *> localPtrs_; ///< merge view
-    std::vector<InterfaceVector> broadcast_; ///< reused broadcast copies
+    InterfaceVector quiet_; ///< write-sharded step: iface, gate closed
     std::vector<Real> scoreScratch_;     ///< scoredHeads x tiles scores
 };
 

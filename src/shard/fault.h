@@ -8,28 +8,33 @@
  * bit-exact state every run, on every transport.
  *
  * Faults are expressed in *frame counts*, not wall-clock: kill-at-the-
- * Nth-step-frame fires just before the worker would serve that Step or
+ * Nth-step-frame fires just before the worker would serve that
  * LaneStep (so the coordinator never sees its reply), drop-at-the-Nth-
  * frame severs the channel regardless of frame type (handshake and
  * control frames included), and delay sleeps before serving to make
  * recv timeouts reachable in tests without a real hang.
+ *
+ * A test arms the injector and polls it from its own thread while the
+ * worker's serve thread drives it, so the state sits behind a mutex
+ * (uncontended in steady state: no allocation, no syscall).
  */
 
 #ifndef HIMA_SHARD_FAULT_H
 #define HIMA_SHARD_FAULT_H
 
 #include <cstdint>
+#include <mutex>
 
 namespace hima {
 
 /** One worker's scripted failure (0 = never for every trigger). */
 struct FaultSpec
 {
-    /** Die just before serving the Nth Step/LaneStep frame (1-based). */
+    /** Die just before serving the Nth LaneStep frame (1-based). */
     std::uint64_t killAtStepFrame = 0;
     /** Die on the Nth inbound frame of any type (1-based). */
     std::uint64_t dropAtFrame = 0;
-    /** Sleep `delayMs` before serving the Nth Step/LaneStep (1-based). */
+    /** Sleep `delayMs` before serving the Nth LaneStep (1-based). */
     std::uint64_t delayAtStepFrame = 0;
     std::uint32_t delayMs = 0;
 
@@ -41,24 +46,28 @@ struct FaultSpec
     }
 };
 
-/** Per-worker fault state machine driven by the inbound frame stream. */
+/**
+ * Per-worker fault state machine driven by the inbound frame stream.
+ * Thread-safe: arm() and dead() may run on other threads than onFrame().
+ */
 class FaultInjector
 {
   public:
     /** Install a spec (resets the frame counters). */
     void arm(const FaultSpec &spec);
 
-    bool armed() const { return spec_.any(); }
-    bool dead() const { return dead_; }
+    bool dead() const;
 
     /**
      * Account one inbound frame; sleeps through a scheduled delay.
      *
-     * @return true when the worker must die *now*, before serving it
+     * @return true when the worker must die *now* (or is already dead),
+     *         before serving it
      */
     bool onFrame(bool isStepFrame);
 
   private:
+    mutable std::mutex mutex_;
     FaultSpec spec_;
     std::uint64_t frames_ = 0;
     std::uint64_t stepFrames_ = 0;

@@ -26,30 +26,6 @@ clusterShmSlotBytes(const DncConfig &config, Index tiles, Index lanes,
     return shmSlotBytesFor(shardConfigFor(config, tiles), hosted, lanes);
 }
 
-/**
- * Spawn `workerCount` workers and return one connected channel per
- * worker: loopback services in-process; socket and shm transports get a
- * serve thread per worker and a bounded recv timeout on the client
- * side.
- */
-std::vector<std::unique_ptr<Channel>>
-buildChannels(ClusterTransport transport, const DncConfig &config,
-              Index tiles, Index lanes, Index workerCount,
-              std::vector<std::shared_ptr<ShardWorker>> &workers,
-              std::vector<std::thread> &threads)
-{
-    const std::size_t slotBytes =
-        transport == ClusterTransport::Shm
-            ? clusterShmSlotBytes(config, tiles, lanes, workerCount)
-            : kShmDefaultSlotBytes;
-    const int timeoutMs = static_cast<int>(config.shardRecvTimeoutMs);
-    std::vector<std::unique_ptr<Channel>> channels;
-    for (Index k = 0; k < workerCount; ++k)
-        channels.push_back(makeClusterWorker(transport, workers, threads,
-                                             slotBytes, timeoutMs));
-    return channels;
-}
-
 } // namespace
 
 std::unique_ptr<Channel>
@@ -128,54 +104,25 @@ makeClusterWorker(ClusterTransport transport,
     return client;
 }
 
-LocalShardCluster
-makeLocalCluster(ClusterTransport transport, const DncConfig &config,
-                 Index tiles, Index workerCount, MergePolicy policy,
-                 bool wantWeightings)
-{
-    LocalShardCluster cluster;
-    std::vector<std::unique_ptr<Channel>> channels =
-        buildChannels(transport, config, tiles, /*lanes=*/1, workerCount,
-                      cluster.workers, cluster.threads);
-    cluster.coordinator = std::make_unique<ShardCoordinator>(
-        config, tiles, policy, std::move(channels), wantWeightings);
-    return cluster;
-}
-
 LocalLaneCluster
 makeLocalLaneCluster(ClusterTransport transport, const DncConfig &config,
                      Index tiles, Index lanes, Index workerCount,
                      MergePolicy policy, bool wantWeightings)
 {
     LocalLaneCluster cluster;
-    std::vector<std::unique_ptr<Channel>> channels =
-        buildChannels(transport, config, tiles, lanes, workerCount,
-                      cluster.workers, cluster.threads);
+    const std::size_t slotBytes =
+        transport == ClusterTransport::Shm
+            ? clusterShmSlotBytes(config, tiles, lanes, workerCount)
+            : kShmDefaultSlotBytes;
+    const int timeoutMs = static_cast<int>(config.shardRecvTimeoutMs);
+    std::vector<std::unique_ptr<Channel>> channels;
+    for (Index k = 0; k < workerCount; ++k)
+        channels.push_back(makeClusterWorker(transport, cluster.workers,
+                                             cluster.threads, slotBytes,
+                                             timeoutMs));
     cluster.group = std::make_shared<ShardLaneGroup>(
         config, tiles, lanes, policy, std::move(channels), wantWeightings);
     return cluster;
-}
-
-std::shared_ptr<RespawnHarness>
-armClusterRecovery(LocalShardCluster &cluster, ClusterTransport transport)
-{
-    auto harness = std::make_shared<RespawnHarness>();
-    harness->transport = transport;
-    // Replacement channels must host the same frames the fleet does —
-    // size their rings from the coordinator's own shard shape.
-    harness->shmSlotBytes = shmSlotBytesFor(
-        cluster.coordinator->shardConfig(),
-        (cluster.coordinator->tiles() +
-         cluster.coordinator->channelCount() - 1) /
-            cluster.coordinator->channelCount());
-    harness->recvTimeoutMs = static_cast<int>(
-        cluster.coordinator->globalConfig().shardRecvTimeoutMs);
-    cluster.coordinator->setRespawner([harness](Index) {
-        return makeClusterWorker(harness->transport, harness->workers,
-                                 harness->threads, harness->shmSlotBytes,
-                                 harness->recvTimeoutMs);
-    });
-    return harness;
 }
 
 std::shared_ptr<RespawnHarness>
@@ -183,6 +130,8 @@ armClusterRecovery(LocalLaneCluster &cluster, ClusterTransport transport)
 {
     auto harness = std::make_shared<RespawnHarness>();
     harness->transport = transport;
+    // Replacement channels must host the same frames the fleet does —
+    // size their rings from the group's own shard shape.
     harness->shmSlotBytes = shmSlotBytesFor(
         cluster.group->shardConfig(),
         (cluster.group->tiles() + cluster.group->channelCount() - 1) /

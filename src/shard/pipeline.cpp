@@ -68,9 +68,7 @@ ShardLaneGroup::ShardLaneGroup(
 
     for (Index k = 0; k < chans; ++k) {
         FrameScope frame(*channels_[k], writer_);
-        encodeHello(WireConfig::fromShard(shardConfig_, tileCount_[k],
-                                          lanes),
-                    frame.writer());
+        encodeHello(assignment(k), frame.writer());
         frame.commit();
     }
     for (Index k = 0; k < chans; ++k) {
@@ -93,11 +91,21 @@ ShardLaneGroup::ShardLaneGroup(
     localPtrs_.resize(tiles_);
 }
 
+WireConfig
+ShardLaneGroup::assignment(Index k) const
+{
+    WireConfig wc =
+        WireConfig::fromShard(shardConfig_, tileCount_[k], gates_.size());
+    wc.tiles = tiles_;
+    wc.firstTile = firstTile_[k];
+    return wc;
+}
+
 void
 ShardLaneGroup::dealTiles()
 {
-    // Deal tiles contiguously and as evenly as possible (the same
-    // layout as ShardCoordinator, repeated per lane on each worker).
+    // Deal tiles contiguously and as evenly as possible, repeated per
+    // lane on each worker.
     const Index chans = channels_.size();
     firstTile_.clear();
     tileCount_.clear();
@@ -128,12 +136,15 @@ ShardLaneGroup::recvFrom(Index k)
 
 void
 ShardLaneGroup::scatter(const std::vector<Index> &lanes,
-                        const std::vector<const InterfaceVector *> &ifaces)
+                        const std::vector<const InterfaceVector *> &ifaces,
+                        Index writeTile)
 {
     HIMA_ASSERT(pendingCount_ < kMaxInFlight,
                 "scatter window full (%zu in flight)", pendingCount_);
     HIMA_ASSERT(!lanes.empty() && lanes.size() == ifaces.size(),
                 "scatter needs one interface per lane");
+    HIMA_ASSERT(writeTile == kAllTiles || writeTile < tiles_,
+                "write tile %zu out of range (%zu tiles)", writeTile, tiles_);
     // A lane in two outstanding batches would race on its tiles and
     // its gate; both lane lists are ascending, so a two-pointer sweep
     // catches the overlap cheaply.
@@ -166,6 +177,7 @@ ShardLaneGroup::scatter(const std::vector<Index> &lanes,
         entryScratch_[j].scoredMask = maskOf(gates_[lane].selectHeads(
             *ifaces[j], policy_, globalConfig_.readHeads, tiles_));
         entryScratch_[j].iface = ifaces[j];
+        entryScratch_[j].writeTile = static_cast<std::uint32_t>(writeTile);
     }
 
     obs::TraceSpan span("shard.scatter", lanes.size());
@@ -321,7 +333,7 @@ ShardLaneGroup::gather(const std::vector<MemoryReadout *> &outs)
 
 void
 ShardLaneGroup::stepLaneInto(Index lane, const InterfaceVector &iface,
-                             MemoryReadout &out)
+                             MemoryReadout &out, Index writeTile)
 {
     HIMA_ASSERT(pendingCount_ == 0,
                 "stepLaneInto while %zu batches are in flight",
@@ -329,7 +341,7 @@ ShardLaneGroup::stepLaneInto(Index lane, const InterfaceVector &iface,
     laneScratch_.assign(1, lane);
     ifaceScratch_.assign(1, &iface);
     outScratch_.assign(1, &out);
-    scatter(laneScratch_, ifaceScratch_);
+    scatter(laneScratch_, ifaceScratch_, writeTile);
     gather(outScratch_);
 }
 
@@ -542,9 +554,7 @@ ShardLaneGroup::rejoinWorker(Index k, const char *who)
 {
     {
         FrameScope frame(*channels_[k], writer_);
-        encodeRejoin(WireConfig::fromShard(shardConfig_, tileCount_[k],
-                                           gates_.size()),
-                     firstTile_[k], frame.writer());
+        encodeRejoin(assignment(k), frame.writer());
         frame.commit();
     }
     HelloAckMsg ack;
@@ -677,60 +687,46 @@ namespace {
 class LaneMemoryView final : public TileMemory
 {
   public:
-    LaneMemoryView(ShardLaneGroup &group, Index lane)
-        : group_(group), lane_(lane)
+    LaneMemoryView(std::shared_ptr<ShardLaneGroup> group, Index lane)
+        : group_(std::move(group)), lane_(lane)
     {}
 
-    MemoryReadout
-    stepInterface(const InterfaceVector &iface) override
-    {
-        MemoryReadout out;
-        group_.stepLaneInto(lane_, iface, out);
-        return out;
-    }
-
-    MemoryReadout
-    stepInterfaces(const std::vector<InterfaceVector> &) override
-    {
-        HIMA_FATAL("lane views carry broadcast steps only; per-tile "
-                   "write sharding runs on ShardCoordinator");
-    }
-
     void
-    stepInterfaceInto(const InterfaceVector &iface,
-                      MemoryReadout &out) override
+    stepInterfaceInto(const InterfaceVector &iface, MemoryReadout &out,
+                      Index writeTile) override
     {
-        group_.stepLaneInto(lane_, iface, out);
+        group_->stepLaneInto(lane_, iface, out, writeTile);
     }
 
-    void reset() override { group_.resetLane(lane_); }
-    void beginEpisode() override { group_.admitLane(lane_); }
-    Index tiles() const override { return group_.tiles(); }
+    void reset() override { group_->resetLane(lane_); }
+    void beginEpisode() override { group_->admitLane(lane_); }
+    Index tiles() const override { return group_->tiles(); }
     const DncConfig &globalConfig() const override
     {
-        return group_.globalConfig();
+        return group_->globalConfig();
     }
     const DncConfig &shardConfig() const override
     {
-        return group_.shardConfig();
+        return group_->shardConfig();
     }
     const std::vector<std::vector<Real>> &lastAlphas() const override
     {
-        return group_.laneAlphas(lane_);
+        return group_->laneAlphas(lane_);
     }
 
   private:
-    ShardLaneGroup &group_;
+    std::shared_ptr<ShardLaneGroup> group_;
     Index lane_;
 };
 
 } // namespace
 
 std::unique_ptr<TileMemory>
-ShardLaneGroup::laneMemory(Index lane)
+ShardLaneGroup::laneMemory(std::shared_ptr<ShardLaneGroup> group, Index lane)
 {
-    HIMA_ASSERT(lane < gates_.size(), "lane %zu out of range", lane);
-    return std::make_unique<LaneMemoryView>(*this, lane);
+    HIMA_ASSERT(group != nullptr && lane < group->lanes(),
+                "lane %zu out of range", lane);
+    return std::make_unique<LaneMemoryView>(std::move(group), lane);
 }
 
 } // namespace hima

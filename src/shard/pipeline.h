@@ -1,13 +1,14 @@
 /**
  * @file
- * Pipelined multi-lane shard serving: the coordinator side of the
- * lane-batched wire protocol (wire.h, version 2).
+ * The shard coordinator: the client side of multi-process DNC-D over
+ * the lane-batched wire protocol (wire.h).
  *
- * The synchronous ShardCoordinator owns one lane and pays one full
- * round trip per step; at high tile counts the socket latency of that
- * round trip is the throughput ceiling (see the in_process-vs-tcp gap
- * in BENCH_shard.json). ShardLaneGroup buys the gap back with the two
- * overlap tricks throughput-oriented serving systems use:
+ * A synchronous coordinator — one lane, one full round trip per step —
+ * is a one-lane group stepped through laneMemory() or stepLaneInto().
+ * At high tile counts the socket latency of that round trip is the
+ * throughput ceiling (see the in_process-vs-tcp gap in
+ * BENCH_shard.json); serving buys the gap back with the two overlap
+ * tricks throughput-oriented serving systems use:
  *
  *   - lane batching: one LaneStep frame per worker carries k lanes'
  *     broadcast interfaces, so syscalls, wakeups and framing amortize
@@ -23,10 +24,12 @@
  * Lanes are independent tile sets on the workers, so any interleaving
  * of batches is bit-identical per lane to the synchronous schedule —
  * each lane still sees the strict controller -> tiles -> merge order.
- * Per-lane state here is exactly the sync coordinator's (a
- * ConfidenceGate per lane; the same mergeTileReadouts), so a lane of a
- * group must match the in-process DncD bit for bit, proven in
- * tests/test_shard.cpp across transports x tiles x threads x datapath.
+ * Per-lane state here is a ConfidenceGate, merged through the same
+ * mergeTileReadouts the in-process DncD runs, so every lane must match
+ * DncD bit for bit, proven in tests/test_shard.cpp across transports x
+ * tiles x threads x datapath (learned write sharding included: a
+ * scatter may name one write tile, and every other tile steps with its
+ * write gate closed).
  *
  * laneMemory() exposes one lane behind the TileMemory surface, so a
  * plain ShardedDnc (or the golden harness) can drive a single lane of
@@ -34,8 +37,8 @@
  * (sharded_dnc.h) drives all lanes with the overlapped schedule behind
  * the LaneEngine surface the Router consumes.
  *
- * Wire v3 fault tolerance mirrors ShardCoordinator's: setRespawner()
- * plus a nonzero DncConfig::shardCheckpointIntervalSteps arm periodic
+ * Wire v3 fault tolerance: setRespawner() plus a nonzero
+ * DncConfig::shardCheckpointIntervalSteps arm periodic
  * checkpoint pulls (taken at a gather that empties the in-flight
  * window) and a replay log of every frame since the last pull. Because
  * LaneStep frames are lane-addressed, the *same* bytes go to every
@@ -69,17 +72,20 @@ class ShardLaneGroup
     static constexpr Index kMaxInFlight = 2;
 
     /**
-     * Connect and handshake: every worker hosts `lanes` independent
-     * tile sets of its contiguous tile range (the same even deal as
-     * ShardCoordinator), validated before any step traffic.
+     * Connect and handshake: tiles are dealt contiguously over the
+     * channels as evenly as possible (channel k hosts tiles/channels
+     * +- 1), every worker hosting `lanes` independent tile sets of its
+     * range; shapes and datapath are validated before any step traffic.
      *
      * @param config   global DNC shapes (memoryRows = global N)
      * @param tiles    tile count Nt per lane; must divide memoryRows
      * @param lanes    serving lanes hosted by the fleet
      * @param policy   read-vector merge policy
      * @param channels one connected channel per worker (1..tiles)
-     * @param wantWeightings ship per-tile weightings back (golden
-     *        harness); serving paths leave it off
+     * @param wantWeightings ship per-tile read/write weightings back so
+     *        readouts carry the concatenated global view (DncD parity —
+     *        the golden harness needs it); serving paths leave it off to
+     *        keep reply frames at R*W + R reals per tile
      */
     ShardLaneGroup(const DncConfig &config, Index tiles, Index lanes,
                    MergePolicy policy,
@@ -101,9 +107,12 @@ class ShardLaneGroup
      * batch is outstanding until the matching gather(). At most
      * kMaxInFlight batches may be outstanding, and a lane must not
      * appear in two outstanding batches (its tiles would race).
+     * `writeTile` (learned write sharding, see TileMemory) applies to
+     * every lane of the batch.
      */
     void scatter(const std::vector<Index> &lanes,
-                 const std::vector<const InterfaceVector *> &ifaces);
+                 const std::vector<const InterfaceVector *> &ifaces,
+                 Index writeTile = kAllTiles);
 
     /**
      * Gather the *oldest* outstanding batch: receives one reply frame
@@ -122,15 +131,16 @@ class ShardLaneGroup
 
     /** One lane's step as a single scatter+gather round trip. */
     void stepLaneInto(Index lane, const InterfaceVector &iface,
-                      MemoryReadout &out);
+                      MemoryReadout &out, Index writeTile = kAllTiles);
 
     /**
-     * One lane behind the TileMemory surface (broadcast steps only; the
-     * per-tile write-sharding path stays on ShardCoordinator). The view
-     * borrows this group — it must not outlive it — and must not be
-     * stepped while batches are in flight.
+     * One lane of `group` behind the TileMemory surface: the
+     * synchronous coordinator. The view co-owns the group (so a
+     * ShardedDnc can own its wire backend) and must not be stepped
+     * while batches are in flight.
      */
-    std::unique_ptr<TileMemory> laneMemory(Index lane);
+    static std::unique_ptr<TileMemory>
+    laneMemory(std::shared_ptr<ShardLaneGroup> group, Index lane);
 
     /** Admit control for one lane: resets its tiles and gate. */
     void admitLane(Index lane);
@@ -215,6 +225,9 @@ class ShardLaneGroup
                        obs::Snapshot &aggregate);
 
   private:
+    /** Handshake body for worker k: shapes plus its tile slice. */
+    WireConfig assignment(Index k) const;
+
     void sendControl(ControlKind kind, std::uint32_t lane);
 
     /** Deal tiles contiguously/evenly over channels_. */

@@ -1,8 +1,9 @@
 /**
  * @file
  * ShardedDnc: a full DNC whose controller runs locally and whose
- * external memory is a TileMemory — the in-process DncD or the
- * wire-connected ShardCoordinator. This is the Fig. 8 deployment shape:
+ * external memory is a TileMemory — the in-process DncD or a lane of a
+ * wire-connected ShardLaneGroup (ShardLaneGroup::laneMemory). This is
+ * the Fig. 8 deployment shape:
  * the LSTM and projection heads live with the request front-end, the
  * memory tiles live wherever capacity is (threads, processes, hosts),
  * and only interface vectors and merged read vectors cross the

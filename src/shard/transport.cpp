@@ -693,10 +693,9 @@ shmSlotBytesFor(const DncConfig &shard, Index hostedTiles, Index lanes)
     // frame the encoder can emit.
     const std::size_t snapshot =
         states * (8 * (n * w + n * n + (4 + r) * n) + 4 * n + 16);
-    // Scatter: one interface vector (+ per-entry framing) per lane, or
-    // the span broadcast over hosted tiles.
+    // Scatter: one interface vector (+ per-entry framing) per lane.
     const std::size_t iface = 8 * (r * w + 3 * w + 8 * r + 16) + 64;
-    const std::size_t scatter = std::max(laneCount, hosted) * iface;
+    const std::size_t scatter = laneCount * iface;
     // Replies with weightings: reads R*W, weightings (1+R)*N, scores.
     const std::size_t reply = 8 * states * (r * w + (1 + r) * n + r + 8);
     // StatsReport scrapes are name+counter rows plus sparse histogram

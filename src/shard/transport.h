@@ -188,7 +188,7 @@ class FrameSink
  * One outbound frame, encoded in place when the sink supports it:
  *
  *     FrameScope frame(sink, writer_);
- *     encodeStepReply(..., frame.writer());
+ *     encodeLaneStepReply(..., frame.writer());
  *     frame.commit();
  *
  * On a zero-copy sink (ShmChannel) writer() targets the transport's own

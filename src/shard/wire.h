@@ -5,8 +5,9 @@
  * length-prefixed framing.
  *
  * The protocol carries exactly the traffic the paper's tile arrangement
- * implies. Per step the coordinator scatters one interface vector per
- * tile and gathers each tile's R read vectors plus R confidence logits
+ * implies. Per lane-step the coordinator scatters one broadcast
+ * interface vector and gathers each tile's R read vectors plus R
+ * confidence logits
  * (strength x best row cosine, computed tile-locally against the tile's
  * own memory) — so the *distributed* confidence merge needs only a
  * softmax over Nt gathered scalars per scored head, never the remote
@@ -75,6 +76,18 @@
  * encoding byte must be known, and truncation anywhere returns false.
  * The handshake grows the read-stage knobs (readSkipThreshold,
  * denseSweep) so coordinator and worker agree on the sparse datapath.
+ *
+ * Version 7 makes LaneStep the only step frame. The single-lane
+ * Step/StepReply pair (types 3 and 4, now unassigned) is gone: a
+ * synchronous coordinator is a one-lane group with a window of 1. Each
+ * LaneStep entry gains a u32 write tile — learned write sharding: every
+ * tile except that global tile index steps with writeGate = 0, and
+ * kAllTiles leaves every gate as emitted. The frame stays lane- (not
+ * tile-) addressed, so the handshake now carries the global tile count
+ * and the worker's first global tile: a worker knows which hosted tile
+ * the write tile names, and the decoder rejects a write tile >= Nt that
+ * is not kAllTiles. Rejoin's separate first-tile field folded into that
+ * shared handshake body.
  */
 
 #ifndef HIMA_SHARD_WIRE_H
@@ -85,6 +98,7 @@
 #include <string>
 #include <vector>
 
+#include "dnc/dncd.h"
 #include "dnc/interface.h"
 #include "dnc/memory_unit.h"
 #include "obs/metrics.h"
@@ -94,9 +108,9 @@ namespace hima {
 /** Protocol magic ("HM") — first two payload bytes of every message. */
 constexpr std::uint16_t kWireMagic = 0x484D;
 
-/** Protocol version; bumped on any layout change (v6: sparse
- * checkpoint/restore tile bodies + the read-stage handshake knobs). */
-constexpr std::uint8_t kWireVersion = 6;
+/** Protocol version; bumped on any layout change (v7: LaneStep is the
+ * only step frame and carries a write tile per lane entry). */
+constexpr std::uint8_t kWireVersion = 7;
 
 /** Largest legal payload (guards framing against garbage lengths). */
 constexpr std::uint32_t kWireMaxFrameBytes = 64u << 20;
@@ -106,8 +120,7 @@ enum class MsgType : std::uint8_t
 {
     Hello = 1,      ///< coordinator -> worker: config handshake
     HelloAck = 2,   ///< worker -> coordinator: accept/reject + detail
-    Step = 3,       ///< coordinator -> worker: per-tile interface vectors
-    StepReply = 4,  ///< worker -> coordinator: reads + confidence logits
+    // 3 and 4 carried the single-lane Step/StepReply pair before v7.
     Control = 5,    ///< coordinator -> worker: episode reset / admit
     ControlAck = 6, ///< worker -> coordinator: control completed
     Shutdown = 7,   ///< coordinator -> worker: stop serving
@@ -154,6 +167,8 @@ struct WireConfig
     std::uint64_t numThreads = 1;  ///< worker tile-pool threads
     std::uint64_t hostedTiles = 0; ///< tiles this worker hosts, per lane
     std::uint64_t lanes = 1;       ///< independent lane tile sets hosted
+    std::uint64_t tiles = 0;       ///< global tile count Nt
+    std::uint64_t firstTile = 0;   ///< global index of the first hosted tile
     std::uint8_t approximateSoftmax = 0;
     std::uint32_t softmaxSegments = 8;
     std::uint8_t fixedPoint = 0;
@@ -163,7 +178,11 @@ struct WireConfig
     Real readSkipThreshold = 0.0;
     std::uint8_t denseSweep = 0; ///< forces dense sweeps + dense frames
 
-    /** Build from a per-shard DncConfig plus the hosted-tile count. */
+    /**
+     * Build from a per-shard DncConfig plus the hosted-tile count, for a
+     * worker hosting the whole tile set (tiles = hostedTiles, firstTile
+     * = 0); a coordinator dealing tiles over several workers sets both.
+     */
     static WireConfig fromShard(const DncConfig &shard, Index hostedTiles,
                                 Index lanes = 1);
 
@@ -181,28 +200,6 @@ struct HelloAckMsg
     std::string message;           ///< failure detail when !ok
 };
 
-/** One scatter: interface vectors for every hosted tile. */
-struct StepMsg
-{
-    std::uint64_t seq = 0;
-    bool wantWeightings = false; ///< ship read/write weightings back too
-    std::uint32_t scoredMask = 0; ///< heads needing confidence logits
-    std::vector<InterfaceVector> ifaces; ///< one per hosted tile
-};
-
-/**
- * One gather: per hosted tile, the local MemoryReadout (read vectors
- * always; weightings only when requested) and R confidence logits
- * (zero for heads outside the request's scoredMask).
- */
-struct StepReplyMsg
-{
-    std::uint64_t seq = 0;
-    bool hasWeightings = false;
-    std::vector<MemoryReadout> tiles;
-    std::vector<Real> confidence; ///< hostedTiles x R, row-major
-};
-
 /** Episode control. */
 struct ControlMsg
 {
@@ -213,16 +210,17 @@ struct ControlMsg
 
 /**
  * One lane's slice of a lane-batched scatter: the lane id, the heads
- * needing fresh confidence logits, and the broadcast interface every
- * hosted tile of that lane steps with. Lane batching is broadcast-only
- * (the serving path's query pattern); learned per-tile write sharding
- * stays on the single-lane Step frame.
+ * needing fresh confidence logits, the broadcast interface every hosted
+ * tile of that lane steps with, and the write tile (learned write
+ * sharding: every other tile steps with writeGate = 0; kAllTiles, the
+ * serving default, leaves every gate as emitted).
  */
 struct LaneStepEntry
 {
     std::uint32_t lane = 0;
     std::uint32_t scoredMask = 0;
     const InterfaceVector *iface = nullptr;
+    std::uint32_t writeTile = kAllTiles; ///< global tile index
 };
 
 /**
@@ -241,6 +239,7 @@ struct LaneStepMsg
     bool wantWeightings = false;
     std::vector<std::uint32_t> lanes;
     std::vector<std::uint32_t> masks;
+    std::vector<std::uint32_t> writeTiles; ///< global tile or kAllTiles
     std::vector<InterfaceVector> ifaces; ///< one broadcast iface per lane
 };
 
@@ -392,39 +391,12 @@ bool peekType(const std::uint8_t *data, std::size_t size, MsgType &type);
 
 void encodeHello(const WireConfig &config, WireWriter &out);
 void encodeHelloAck(const HelloAckMsg &msg, WireWriter &out);
-void encodeStep(const StepMsg &msg, const DncConfig &shard, WireWriter &out);
-
-/** Encode a Step from a contiguous span of per-tile interfaces. */
-void encodeStepSpan(std::uint64_t seq, bool wantWeightings,
-                    std::uint32_t scoredMask, const InterfaceVector *ifaces,
-                    Index count, WireWriter &out);
-
-/**
- * Encode a Step whose one interface broadcasts to `count` tiles: the
- * interface goes over the wire once (a broadcast flag in the frame) and
- * the worker expands it locally, so the serving scatter costs one
- * interface payload per worker instead of one per tile.
- */
-void encodeStepBroadcast(std::uint64_t seq, bool wantWeightings,
-                         std::uint32_t scoredMask,
-                         const InterfaceVector &iface, Index count,
-                         WireWriter &out);
-
-/**
- * Encode a StepReply straight from the first `count` entries of the
- * worker's per-tile readout scratch and its confidence scratch
- * (count x R, row-major) — no intermediate message object, no copies.
- * (The scratch may be larger than `count` on multi-lane workers, whose
- * legacy Step frames cover lane 0 only.)
- */
-void encodeStepReply(std::uint64_t seq, bool withWeightings,
-                     const MemoryReadout *tiles, Index count,
-                     const std::vector<Real> &confidence,
-                     const DncConfig &shard, WireWriter &out);
 /**
  * Encode a lane-batched Step: one frame carries `count` lanes'
  * broadcast interfaces (ordered by strictly increasing lane id). Each
- * hosted tile of entry j's lane steps with *entries[j].iface.
+ * hosted tile of entry j's lane steps with *entries[j].iface, its
+ * write gate closed unless it is entries[j].writeTile (or that is
+ * kAllTiles).
  */
 void encodeLaneStep(std::uint64_t seq, bool wantWeightings,
                     const LaneStepEntry *entries, Index count,
@@ -498,12 +470,11 @@ void encodeStatsReport(std::uint64_t seq, const obs::Snapshot &snapshot,
                        WireWriter &out);
 
 /**
- * Re-attach handshake for a replacement worker: the Hello body plus the
- * first global tile index of its assignment (so operators can identify
- * the slice a worker serves). Answered by HelloAck like Hello.
+ * Re-attach handshake for a replacement worker: the Hello body (which
+ * names the tile slice the worker takes over) under its own type.
+ * Answered by HelloAck like Hello.
  */
-void encodeRejoin(const WireConfig &config, std::uint64_t firstTile,
-                  WireWriter &out);
+void encodeRejoin(const WireConfig &config, WireWriter &out);
 
 // --- decoders (false on any malformed input; outputs resize in place) ---
 
@@ -511,18 +482,16 @@ bool decodeHello(const std::uint8_t *data, std::size_t size,
                  WireConfig &config);
 bool decodeHelloAck(const std::uint8_t *data, std::size_t size,
                     HelloAckMsg &msg);
-bool decodeStep(const std::uint8_t *data, std::size_t size,
-                const DncConfig &shard, Index hostedTiles, StepMsg &msg);
-bool decodeStepReply(const std::uint8_t *data, std::size_t size,
-                     const DncConfig &shard, Index hostedTiles,
-                     StepReplyMsg &msg);
 /**
- * Decode a lane-batched Step. `lanes` is the worker's hosted lane
- * count from the handshake: frames naming more lanes than that, lane
- * ids out of range, or lane ids not strictly increasing are rejected.
+ * Decode a lane-batched Step. `lanes` and `tiles` are the worker's
+ * hosted lane count and the global tile count from the handshake:
+ * frames naming more lanes than that, lane ids out of range or not
+ * strictly increasing, or a write tile >= tiles other than kAllTiles
+ * are rejected.
  */
 bool decodeLaneStep(const std::uint8_t *data, std::size_t size,
-                    const DncConfig &shard, Index lanes, LaneStepMsg &msg);
+                    const DncConfig &shard, Index lanes, Index tiles,
+                    LaneStepMsg &msg);
 
 /**
  * Decode a lane-batched reply. `maxLanes` bounds the declared lane
@@ -561,7 +530,7 @@ bool decodeRestore(const std::uint8_t *data, std::size_t size,
                    std::uint64_t &seq);
 
 bool decodeRejoin(const std::uint8_t *data, std::size_t size,
-                  WireConfig &config, std::uint64_t &firstTile);
+                  WireConfig &config);
 
 bool decodeStatsPull(const std::uint8_t *data, std::size_t size,
                      std::uint64_t &seq);

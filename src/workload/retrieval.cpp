@@ -165,17 +165,12 @@ runEpisodeDistributed(TileMemory &model, const InterfaceScripter &scripter,
     const Index tiles = model.tiles();
     EpisodeResult result;
     for (const EpisodeStep &step : episode.steps) {
-        const InterfaceVector iface = buildInterface(scripter, step);
-        std::vector<InterfaceVector> perTile(tiles, iface);
-        if (step.kind == StepKind::Write) {
-            // Learned sharding: exactly one tile opens its write gate.
-            const Index target = step.keyToken % tiles;
-            for (Index t = 0; t < tiles; ++t) {
-                if (t != target)
-                    perTile[t].writeGate = 0.0;
-            }
-        }
-        const MemoryReadout readout = model.stepInterfaces(perTile);
+        // Learned sharding: exactly one tile opens its write gate.
+        const Index writeTile = step.kind == StepKind::Write
+                                    ? step.keyToken % tiles
+                                    : kAllTiles;
+        const MemoryReadout readout =
+            model.stepInterface(buildInterface(scripter, step), writeTile);
         scoreStep(scripter, step, readout, result);
     }
     finalizeResult(result);

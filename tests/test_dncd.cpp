@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "dnc/dncd.h"
+#include "golden_util.h"
 #include "workload/retrieval.h"
 #include "workload/task_suite.h"
 
@@ -83,12 +84,7 @@ TEST(DncD, ConfidenceMergeFindsTheOwningTile)
     InterfaceScripter scripter(cfg, keys, values);
 
     // Write token 5's pair into tile 1 only (learned sharding).
-    std::vector<InterfaceVector> perTile(
-        4, scripter.writeInterface(5, 9));
-    for (Index t = 0; t < 4; ++t)
-        if (t != 1)
-            perTile[t].writeGate = 0.0;
-    model.stepInterfaces(perTile);
+    model.stepInterface(scripter.writeInterface(5, 9), /*writeTile=*/1);
 
     model.stepInterface(scripter.queryInterface(5));
     const auto &alphas = model.lastAlphas()[0];
@@ -97,6 +93,67 @@ TEST(DncD, ConfidenceMergeFindsTheOwningTile)
         if (alphas[t] > alphas[best])
             best = t;
     EXPECT_EQ(best, 1u);
+}
+
+// The write-tile argument is shorthand for one hand-built interface per
+// tile with every other tile's write gate closed: stepping standalone
+// tiles that way and merging them through the same gate reproduces
+// DncD bit for bit — readouts, alphas and the tile state itself.
+TEST(DncD, WriteTileEqualsHandBuiltPerTileInterfaces)
+{
+    const DncConfig cfg = testConfig();
+    const Index tiles = 4;
+    DncD model(cfg, tiles);
+    const DncConfig shard = shardConfigFor(cfg, tiles);
+    std::vector<std::unique_ptr<MemoryUnit>> units;
+    for (Index t = 0; t < tiles; ++t)
+        units.push_back(std::make_unique<MemoryUnit>(shard));
+    ConfidenceGate gate;
+    std::vector<MemoryReadout> locals(tiles);
+    std::vector<const MemoryReadout *> localPtrs;
+    for (const MemoryReadout &local : locals)
+        localPtrs.push_back(&local);
+
+    Rng rng(41);
+    for (int step = 0; step < 12; ++step) {
+        SCOPED_TRACE(::testing::Message() << "step " << step);
+        const InterfaceVector iface = golden::randomIface(cfg, rng);
+        const Index writeTile =
+            step % 3 == 2 ? static_cast<Index>(step) % tiles : kAllTiles;
+        const MemoryReadout got = model.stepInterface(iface, writeTile);
+
+        std::vector<InterfaceVector> perTile(tiles, iface);
+        for (Index t = 0; t < tiles; ++t) {
+            if (writeTile != kAllTiles && t != writeTile)
+                perTile[t].writeGate = 0.0;
+            units[t]->stepInto(perTile[t], locals[t]);
+        }
+        const std::vector<Index> &scored = gate.selectHeads(
+            perTile[0], MergePolicy::Confidence, cfg.readHeads, tiles);
+        if (!scored.empty()) {
+            std::vector<Real> scores(scored.size() * tiles);
+            for (Index k = 0; k < scored.size(); ++k)
+                for (Index t = 0; t < tiles; ++t)
+                    scores[k * tiles + t] = tileConfidenceScore(
+                        *units[t], perTile[0].readKeys[scored[k]],
+                        perTile[0].readStrengths[scored[k]]);
+            gate.applyScores(scores, tiles);
+        }
+        MemoryReadout want;
+        mergeTileReadouts(localPtrs, gate.alphas(), cfg, shard.memoryRows,
+                          want);
+
+        for (Index h = 0; h < cfg.readHeads; ++h) {
+            EXPECT_TRUE(want.readVectors[h] == got.readVectors[h]);
+            EXPECT_TRUE(want.readWeightings[h] == got.readWeightings[h]);
+        }
+        EXPECT_TRUE(want.writeWeighting == got.writeWeighting);
+        EXPECT_EQ(gate.alphas(), model.lastAlphas());
+        for (Index t = 0; t < tiles; ++t) {
+            EXPECT_TRUE(units[t]->memory() == model.shard(t).memory());
+            EXPECT_TRUE(units[t]->usage() == model.shard(t).usage());
+        }
+    }
 }
 
 TEST(DncD, RetrievalWorksThroughTheMerge)

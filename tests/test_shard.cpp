@@ -5,12 +5,14 @@
  * in-process DncD with the same config — read vectors, global-view
  * weightings, and the confidence-merge alphas — across
  * transports {loopback, unix socket, tcp, shm} x tiles {2, 4} x
- * worker threads {1, 4} x {float, fixed}, through per-tile write
- * gating, history-mode reads, and mid-stream episode resets.
+ * worker threads {1, 4} x {float, fixed}, through learned write
+ * sharding (one write tile per step), history-mode reads, and
+ * mid-stream episode resets. The synchronous coordinator is a one-lane
+ * ShardLaneGroup behind its laneMemory() view.
  *
  * Also here: worker protocol edge cases (reject-before-hello, config
  * validation, malformed frames answered with Error), the serving stack
- * (ShardedDnc over a coordinator == ShardedDnc over DncD; Router on a
+ * (ShardedDnc over a lane view == ShardedDnc over DncD; Router on a
  * PipelinedShardedLaneEngine == dedicated reference runs), the retrieval
  * workload through the wire, and the zero-allocation steady state of a
  * loopback worker round trip (operator-new hook).
@@ -158,8 +160,7 @@ expectReadoutIdentical(const MemoryReadout &ref, const MemoryReadout &got,
 }
 
 void
-expectAlphasIdentical(const DncD &ref, const ShardCoordinator &got,
-                      int step)
+expectAlphasIdentical(const DncD &ref, const TileMemory &got, int step)
 {
     SCOPED_TRACE(::testing::Message() << "step " << step);
     ASSERT_EQ(ref.lastAlphas().size(), got.lastAlphas().size());
@@ -186,39 +187,30 @@ TEST_P(ShardGolden, BitIdenticalToInProcessDncD)
     const DncConfig cfg = gridConfig(tiles, threads, fixedPoint);
     const Index workerCount = 2; // exercises multi-tile workers at Nt=4
 
-    LocalShardCluster stack =
-        makeLocalCluster(transport, cfg, tiles, workerCount);
-    ASSERT_TRUE(stack.coordinator != nullptr);
+    LocalLaneCluster cluster = makeLocalLaneCluster(
+        transport, cfg, tiles, /*lanes=*/1, workerCount,
+        MergePolicy::Confidence, /*wantWeightings=*/true);
+    ASSERT_TRUE(cluster.group != nullptr);
+    const auto memory = ShardLaneGroup::laneMemory(cluster.group, 0);
     DncD ref(cfg, tiles);
 
     Rng rng(305 + tiles);
-    std::vector<InterfaceVector> perTile(tiles);
     constexpr int kSteps = 18;
     for (int step = 0; step < kSteps; ++step) {
         if (step == 12) {
             // Mid-stream episode boundary crosses the control path.
             ref.reset();
-            stack.coordinator->reset();
+            memory->reset();
         }
         const InterfaceVector iface = golden::randomIface(cfg, rng);
-        if (step % 3 == 2) {
-            // Learned write sharding: one tile's gate open, the rest
-            // closed — the per-tile interface path.
-            for (Index t = 0; t < tiles; ++t) {
-                perTile[t] = iface;
-                if (t != static_cast<Index>(step) % tiles)
-                    perTile[t].writeGate = 0.0;
-            }
-            const MemoryReadout a = ref.stepInterfaces(perTile);
-            const MemoryReadout b =
-                stack.coordinator->stepInterfaces(perTile);
-            expectReadoutIdentical(a, b, step);
-        } else {
-            const MemoryReadout a = ref.stepInterface(iface);
-            const MemoryReadout b = stack.coordinator->stepInterface(iface);
-            expectReadoutIdentical(a, b, step);
-        }
-        expectAlphasIdentical(ref, *stack.coordinator, step);
+        // Learned write sharding every third step: one tile's gate
+        // open, the rest closed.
+        const Index writeTile =
+            step % 3 == 2 ? static_cast<Index>(step) % tiles : kAllTiles;
+        const MemoryReadout a = ref.stepInterface(iface, writeTile);
+        const MemoryReadout b = memory->stepInterface(iface, writeTile);
+        expectReadoutIdentical(a, b, step);
+        expectAlphasIdentical(ref, *memory, step);
         if (::testing::Test::HasFatalFailure())
             return;
     }
@@ -227,14 +219,14 @@ TEST_P(ShardGolden, BitIdenticalToInProcessDncD)
     // equal the in-process shards, not just the merged outputs.
     if (transport == ClusterTransport::Loopback) {
         Index global = 0;
-        for (const auto &worker : stack.workers) {
+        for (const auto &worker : cluster.workers) {
             for (Index i = 0; i < worker->hostedTiles(); ++i, ++global) {
                 SCOPED_TRACE(::testing::Message() << "tile " << global);
-                EXPECT_TRUE(worker->tile(i).memory() ==
+                EXPECT_TRUE(worker->laneTile(0, i).memory() ==
                             ref.shard(global).memory());
-                EXPECT_TRUE(worker->tile(i).usage() ==
+                EXPECT_TRUE(worker->laneTile(0, i).usage() ==
                             ref.shard(global).usage());
-                EXPECT_TRUE(worker->tile(i).rowNorms() ==
+                EXPECT_TRUE(worker->laneTile(0, i).rowNorms() ==
                             ref.shard(global).rowNorms());
             }
         }
@@ -401,12 +393,12 @@ TEST_P(PipelinedCompactionGolden, PermutedColumnsStayBitIdentical)
             encodeLaneStep(1, false, entries.data(), entries.size(), w);
             EXPECT_FALSE(decodeLaneStep(w.buffer().data(), w.buffer().size(),
                                         cluster.group->shardConfig(),
-                                        cfg.batchSize, msg));
+                                        cfg.batchSize, tiles, msg));
             std::sort(entries.begin(), entries.end(), ascending);
             encodeLaneStep(1, false, entries.data(), entries.size(), w);
             EXPECT_TRUE(decodeLaneStep(w.buffer().data(), w.buffer().size(),
                                        cluster.group->shardConfig(),
-                                       cfg.batchSize, msg));
+                                       cfg.batchSize, tiles, msg));
         }
     };
 
@@ -493,7 +485,7 @@ TEST(ShardLaneGroupGolden, LaneViewsMatchInProcessDncDIncludingTileState)
     std::vector<std::unique_ptr<TileMemory>> views;
     std::vector<std::unique_ptr<DncD>> refs;
     for (Index lane = 0; lane < lanes; ++lane) {
-        views.push_back(cluster.group->laneMemory(lane));
+        views.push_back(ShardLaneGroup::laneMemory(cluster.group, lane));
         refs.push_back(std::make_unique<DncD>(cfg, tiles));
     }
 
@@ -588,8 +580,10 @@ TEST(ShardWorkload, RetrievalEpisodeMatchesInProcessExactly)
     DncConfig cfg = gridConfig(4, 1, false);
     cfg.memoryWidth = 16; // even split into key/value halves
     DncD ref(cfg, 4);
-    LocalShardCluster stack =
-        makeLocalCluster(ClusterTransport::Loopback, cfg, 4, 2);
+    LocalLaneCluster cluster = makeLocalLaneCluster(
+        ClusterTransport::Loopback, cfg, 4, /*lanes=*/1, /*workerCount=*/2,
+        MergePolicy::Confidence, /*wantWeightings=*/true);
+    const auto memory = ShardLaneGroup::laneMemory(cluster.group, 0);
 
     TokenCodebook keys(32, cfg.memoryWidth / 2, 1);
     TokenCodebook values(32, cfg.memoryWidth / 2, 2);
@@ -600,8 +594,7 @@ TEST(ShardWorkload, RetrievalEpisodeMatchesInProcessExactly)
     for (Index t = 0; t < 3; ++t) {
         const Episode ep = makeEpisode(suite[t], 32, rng);
         const EpisodeResult a = runEpisodeDistributed(ref, scripter, ep);
-        const EpisodeResult b =
-            runEpisodeDistributed(*stack.coordinator, scripter, ep);
+        const EpisodeResult b = runEpisodeDistributed(*memory, scripter, ep);
         EXPECT_EQ(a.scored, b.scored);
         EXPECT_EQ(a.correct, b.correct) << "wire run answered differently";
         EXPECT_EQ(a.meanScore, b.meanScore);
@@ -625,15 +618,23 @@ serveCfg()
     return cfg;
 }
 
+/** A one-lane loopback fleet behind its lane view (which owns it). */
 std::unique_ptr<TileMemory>
-loopbackBackend(const DncConfig &cfg, Index tiles, Index workers)
+loopbackBackend(const DncConfig &cfg, Index tiles, Index workerCount)
 {
-    LoopbackShard stack =
-        makeLoopbackShard(cfg, tiles, workers, MergePolicy::Confidence,
-                          /*wantWeightings=*/false);
-    // The workers live in the channel closures; only the coordinator
-    // handle needs to escape.
-    return std::move(stack.coordinator);
+    // Loopback workers live in the channel closures and need no serve
+    // threads, so only the view has to escape.
+    std::vector<std::shared_ptr<ShardWorker>> workers;
+    std::vector<std::thread> threads;
+    std::vector<std::unique_ptr<Channel>> channels;
+    for (Index k = 0; k < workerCount; ++k)
+        channels.push_back(makeClusterWorker(ClusterTransport::Loopback,
+                                             workers, threads));
+    return ShardLaneGroup::laneMemory(
+        std::make_shared<ShardLaneGroup>(cfg, tiles, /*lanes=*/1,
+                                         MergePolicy::Confidence,
+                                         std::move(channels)),
+        0);
 }
 
 TEST(ShardedDnc, WireBackendMatchesInProcessBackend)
@@ -773,7 +774,7 @@ TEST(ShardRecvTimeoutDeath, DeadWorkerFailsTheStepWithADiagnosis)
                 if (chan && chan->recvFrame(frame)) // Hello
                     worker.handleFrame(frame.data(), frame.size(), *chan);
                 while (chan && chan->recvFrame(frame)) {
-                    // swallow Steps silently, forever
+                    // swallow LaneSteps silently, forever
                 }
             });
             wedged.detach();
@@ -782,10 +783,12 @@ TEST(ShardRecvTimeoutDeath, DeadWorkerFailsTheStepWithADiagnosis)
             client->setRecvTimeout(100);
             std::vector<std::unique_ptr<Channel>> channels;
             channels.push_back(std::move(client));
-            ShardCoordinator coordinator(cfg, 2, MergePolicy::Confidence,
-                                         std::move(channels));
+            ShardLaneGroup group(cfg, 2, /*lanes=*/1,
+                                 MergePolicy::Confidence,
+                                 std::move(channels));
             Rng rng(5);
-            coordinator.stepInterface(golden::randomIface(cfg, rng));
+            MemoryReadout out;
+            group.stepLaneInto(0, golden::randomIface(cfg, rng), out);
         },
         "exceeded the recv timeout");
 }
@@ -817,58 +820,50 @@ runRecoveryGolden(ClusterTransport transport, int tiles, bool fixedPoint,
     cfg.shardCheckpointIntervalSteps = 4;
     cfg.linkageSkipThreshold = linkageSkipThreshold;
 
-    LocalShardCluster stack = makeLocalCluster(transport, cfg, tiles, 2);
-    ASSERT_TRUE(stack.coordinator != nullptr);
-    auto harness = armClusterRecovery(stack, transport);
+    LocalLaneCluster cluster = makeLocalLaneCluster(
+        transport, cfg, tiles, /*lanes=*/1, /*workerCount=*/2,
+        MergePolicy::Confidence, /*wantWeightings=*/true);
+    ASSERT_TRUE(cluster.group != nullptr);
+    auto harness = armClusterRecovery(cluster, transport);
+    const auto memory = ShardLaneGroup::laneMemory(cluster.group, 0);
     DncD ref(cfg, tiles); // the undisturbed run
 
     // Scripted kills: worker 0 dies just before serving step 6 (replay
-    // window = one step past the step-4 checkpoint, on the per-tile
+    // window = one step past the step-4 checkpoint, on a
     // write-sharding frame), worker 1 just before step 14 (its window
     // then spans the step-12 episode reset, so control replay is
     // exercised too).
     FaultSpec killA;
     killA.killAtStepFrame = 6;
-    stack.workers[0]->injectFault(killA);
+    cluster.workers[0]->injectFault(killA);
     FaultSpec killB;
     killB.killAtStepFrame = 14;
-    stack.workers[1]->injectFault(killB);
+    cluster.workers[1]->injectFault(killB);
 
     Rng rng(305 + tiles);
-    std::vector<InterfaceVector> perTile(tiles);
     constexpr int kSteps = 18;
     for (int step = 0; step < kSteps; ++step) {
         if (step == 12) {
             ref.reset();
-            stack.coordinator->reset();
+            memory->reset();
         }
         const InterfaceVector iface = golden::randomIface(cfg, rng);
-        if (step % 3 == 2) {
-            for (Index t = 0; t < tiles; ++t) {
-                perTile[t] = iface;
-                if (t != static_cast<Index>(step) % tiles)
-                    perTile[t].writeGate = 0.0;
-            }
-            const MemoryReadout a = ref.stepInterfaces(perTile);
-            const MemoryReadout b =
-                stack.coordinator->stepInterfaces(perTile);
-            expectReadoutIdentical(a, b, step);
-        } else {
-            const MemoryReadout a = ref.stepInterface(iface);
-            const MemoryReadout b = stack.coordinator->stepInterface(iface);
-            expectReadoutIdentical(a, b, step);
-        }
-        expectAlphasIdentical(ref, *stack.coordinator, step);
+        const Index writeTile =
+            step % 3 == 2 ? static_cast<Index>(step) % tiles : kAllTiles;
+        const MemoryReadout a = ref.stepInterface(iface, writeTile);
+        const MemoryReadout b = memory->stepInterface(iface, writeTile);
+        expectReadoutIdentical(a, b, step);
+        expectAlphasIdentical(ref, *memory, step);
         if (::testing::Test::HasFatalFailure())
             return;
     }
 
-    EXPECT_TRUE(stack.workers[0]->faultFired());
-    EXPECT_TRUE(stack.workers[1]->faultFired());
-    EXPECT_EQ(stack.coordinator->recoveries(), 2u);
+    EXPECT_TRUE(cluster.workers[0]->faultFired());
+    EXPECT_TRUE(cluster.workers[1]->faultFired());
+    EXPECT_EQ(cluster.group->recoveries(), 2u);
     EXPECT_EQ(harness->workers.size(), 2u); // one replacement per kill
     // Checkpoints land at steps 4, 8, 12 and 16.
-    EXPECT_EQ(stack.coordinator->checkpointsTaken(), 4u);
+    EXPECT_EQ(cluster.group->checkpointsTaken(), 4u);
 }
 
 TEST_P(ShardRecoveryGolden, KilledWorkersRestoreBitIdenticalToUndisturbed)
@@ -1053,38 +1048,41 @@ TEST(PipelinedEngineRecovery, KillSurvivesLaneChurnBitExactly)
     EXPECT_EQ(engine.group().inFlight(), 0u);
 }
 
-// Live migration on the synchronous coordinator: a tile slice moves to
-// a fresh worker (even one on a *different* transport) between steps,
-// with no respawner and no checkpoint cadence configured, and the run
-// stays bit-identical throughout.
+// Live migration on the synchronous (one-lane) coordinator: a tile
+// slice moves to a fresh worker (even one on a *different* transport)
+// between steps, with no respawner and no checkpoint cadence
+// configured, and the run stays bit-identical throughout.
 TEST(ShardMigration, CoordinatorMovesTileSlicesBetweenLiveWorkers)
 {
     const Index tiles = 4;
     const DncConfig cfg = gridConfig(tiles, 1, false);
-    LocalShardCluster stack =
-        makeLocalCluster(ClusterTransport::UnixSocket, cfg, tiles, 2);
+    LocalLaneCluster cluster = makeLocalLaneCluster(
+        ClusterTransport::UnixSocket, cfg, tiles, /*lanes=*/1,
+        /*workerCount=*/2, MergePolicy::Confidence,
+        /*wantWeightings=*/true);
+    const auto memory = ShardLaneGroup::laneMemory(cluster.group, 0);
     DncD ref(cfg, tiles);
 
     Rng rng(808);
     MemoryReadout a, b;
     for (int step = 0; step < 12; ++step) {
         if (step == 5)
-            stack.coordinator->migrateWorker(
+            cluster.group->migrateWorker(
                 1, makeClusterWorker(ClusterTransport::UnixSocket,
-                                     stack.workers, stack.threads));
+                                     cluster.workers, cluster.threads));
         if (step == 8) // channels are transport-agnostic: move to TCP
-            stack.coordinator->migrateWorker(
-                0, makeClusterWorker(ClusterTransport::Tcp, stack.workers,
-                                     stack.threads));
+            cluster.group->migrateWorker(
+                0, makeClusterWorker(ClusterTransport::Tcp,
+                                     cluster.workers, cluster.threads));
         const InterfaceVector iface = golden::randomIface(cfg, rng);
         ref.stepInterfaceInto(iface, a);
-        stack.coordinator->stepInterfaceInto(iface, b);
+        memory->stepInterfaceInto(iface, b);
         expectReadoutIdentical(a, b, step);
         if (::testing::Test::HasFatalFailure())
             return;
     }
-    EXPECT_EQ(stack.coordinator->checkpointsTaken(), 2u);
-    EXPECT_EQ(stack.coordinator->recoveries(), 0u);
+    EXPECT_EQ(cluster.group->checkpointsTaken(), 2u);
+    EXPECT_EQ(cluster.group->recoveries(), 0u);
 }
 
 // Mid-run scale-out and scale-in on the lane group: the fleet grows
@@ -1161,7 +1159,8 @@ TEST(ShardWorkerProtocol, StepBeforeHelloIsAnError)
     Rng rng(1);
     const InterfaceVector iface =
         golden::randomIface(gridConfig(2, 1, false), rng);
-    encodeStepBroadcast(1, false, 0, iface, 1, w);
+    const LaneStepEntry entry{0, 0, &iface};
+    encodeLaneStep(1, false, &entry, 1, w);
     worker.handleFrame(w.buffer().data(), w.buffer().size(), sink);
     ASSERT_EQ(sink.frames.size(), 1u);
     MsgType type;
@@ -1198,49 +1197,17 @@ TEST(ShardWorkerProtocol, MalformedFrameIsAnsweredWithError)
                             err));
 }
 
-TEST(ShardWorkerProtocol, LegacyStepOnAMultiLaneWorkerAnswersLaneZero)
-{
-    // A lanes>1 handshake followed by a legacy single-lane Step: the
-    // reply must carry exactly hostedTiles readouts (lane 0), not the
-    // whole lanes x hostedTiles scratch.
-    const DncConfig cfg = gridConfig(2, 1, false);
-    const DncConfig shard = shardConfigFor(cfg, 2);
-    ShardWorker worker;
-    CollectSink sink;
-    WireWriter w;
-    encodeHello(WireConfig::fromShard(shard, /*hostedTiles=*/2,
-                                      /*lanes=*/3),
-                w);
-    worker.handleFrame(w.buffer().data(), w.buffer().size(), sink);
-    ASSERT_EQ(sink.frames.size(), 1u);
-    HelloAckMsg ack;
-    ASSERT_TRUE(decodeHelloAck(sink.frames[0].data(),
-                               sink.frames[0].size(), ack));
-    ASSERT_TRUE(ack.ok);
-    EXPECT_EQ(worker.lanes(), 3u);
-
-    Rng rng(9);
-    const InterfaceVector iface = golden::randomIface(shard, rng);
-    encodeStepBroadcast(1, false, 0b1, iface, 2, w);
-    worker.handleFrame(w.buffer().data(), w.buffer().size(), sink);
-    ASSERT_EQ(sink.frames.size(), 2u);
-    StepReplyMsg reply;
-    ASSERT_TRUE(decodeStepReply(sink.frames[1].data(),
-                                sink.frames[1].size(), shard,
-                                /*hostedTiles=*/2, reply));
-    EXPECT_EQ(reply.seq, 1u);
-    EXPECT_EQ(reply.tiles.size(), 2u);
-}
-
 TEST(ShardWorkerProtocol, AdmitControlCountsEpisodes)
 {
     const DncConfig cfg = gridConfig(2, 1, false);
-    LoopbackShard stack = makeLoopbackShard(cfg, 2, 1);
-    EXPECT_EQ(stack.workers[0]->episodesServed(), 0u);
-    stack.coordinator->beginEpisode();
-    stack.coordinator->beginEpisode();
-    stack.coordinator->reset(); // EpisodeReset does not count
-    EXPECT_EQ(stack.workers[0]->episodesServed(), 2u);
+    LocalLaneCluster cluster = makeLocalLaneCluster(
+        ClusterTransport::Loopback, cfg, 2, /*lanes=*/1, /*workerCount=*/1);
+    const auto memory = ShardLaneGroup::laneMemory(cluster.group, 0);
+    EXPECT_EQ(cluster.workers[0]->episodesServed(), 0u);
+    memory->beginEpisode();
+    memory->beginEpisode();
+    memory->reset(); // EpisodeReset does not count
+    EXPECT_EQ(cluster.workers[0]->episodesServed(), 2u);
 }
 
 TEST(ShardWorkerProtocol, RejoinRecordsTheTileAssignment)
@@ -1250,9 +1217,11 @@ TEST(ShardWorkerProtocol, RejoinRecordsTheTileAssignment)
     ShardWorker worker;
     CollectSink sink;
     WireWriter w;
-    encodeRejoin(WireConfig::fromShard(shard, /*hostedTiles=*/2,
-                                       /*lanes=*/3),
-                 /*firstTile=*/2, w);
+    WireConfig assignment =
+        WireConfig::fromShard(shard, /*hostedTiles=*/2, /*lanes=*/3);
+    assignment.tiles = 4;
+    assignment.firstTile = 2;
+    encodeRejoin(assignment, w);
     worker.handleFrame(w.buffer().data(), w.buffer().size(), sink);
     ASSERT_EQ(sink.frames.size(), 1u);
     HelloAckMsg ack;
@@ -1304,7 +1273,8 @@ TEST(ShardFault, ScriptedKillSilencesTheWorkerAtTheExactFrame)
     Rng rng(13);
     for (std::uint64_t seq = 1; seq <= 4; ++seq) {
         const InterfaceVector iface = golden::randomIface(shard, rng);
-        encodeStepBroadcast(seq, false, 0, iface, 2, w);
+        const LaneStepEntry entry{0, 0, &iface};
+        encodeLaneStep(seq, false, &entry, 1, w);
         const bool alive =
             worker.handleFrame(w.buffer().data(), w.buffer().size(), sink);
         EXPECT_EQ(alive, seq < 3) << "seq " << seq;
@@ -1352,9 +1322,10 @@ TEST(ShardZeroAlloc, SteadyStateShmRoundTrip)
     // rings (the worker thread's allocations land in the same
     // process-wide counter).
     const DncConfig cfg = serveCfg();
-    LocalShardCluster stack = makeLocalCluster(
-        ClusterTransport::Shm, cfg, /*tiles=*/4, /*workerCount=*/2,
-        MergePolicy::Confidence, /*wantWeightings=*/false);
+    LocalLaneCluster cluster = makeLocalLaneCluster(
+        ClusterTransport::Shm, cfg, /*tiles=*/4, /*lanes=*/1,
+        /*workerCount=*/2);
+    const auto memory = ShardLaneGroup::laneMemory(cluster.group, 0);
 
     Rng rng(606);
     std::vector<InterfaceVector> ifaces;
@@ -1363,12 +1334,12 @@ TEST(ShardZeroAlloc, SteadyStateShmRoundTrip)
 
     MemoryReadout out;
     for (int i = 0; i < 3; ++i) // sizes every buffer on both ends
-        stack.coordinator->stepInterfaceInto(ifaces[i], out);
+        memory->stepInterfaceInto(ifaces[i], out);
 
     const std::uint64_t before =
         g_allocationCount.load(std::memory_order_relaxed);
     for (int i = 3; i < 8; ++i)
-        stack.coordinator->stepInterfaceInto(ifaces[i], out);
+        memory->stepInterfaceInto(ifaces[i], out);
     const std::uint64_t after =
         g_allocationCount.load(std::memory_order_relaxed);
     EXPECT_EQ(after - before, 0u)
@@ -1438,11 +1409,11 @@ TEST(ShardZeroAlloc, SteadyStateWithCheckpointingAndReplayLog)
     // rings are warm.
     DncConfig cfg = serveCfg();
     cfg.shardCheckpointIntervalSteps = 2;
-    LocalShardCluster stack =
-        makeLocalCluster(ClusterTransport::Loopback, cfg, /*tiles=*/4,
-                         /*workerCount=*/2, MergePolicy::Confidence,
-                         /*wantWeightings=*/false);
-    auto harness = armClusterRecovery(stack, ClusterTransport::Loopback);
+    LocalLaneCluster cluster = makeLocalLaneCluster(
+        ClusterTransport::Loopback, cfg, /*tiles=*/4, /*lanes=*/1,
+        /*workerCount=*/2);
+    auto harness = armClusterRecovery(cluster, ClusterTransport::Loopback);
+    const auto memory = ShardLaneGroup::laneMemory(cluster.group, 0);
 
     Rng rng(606);
     std::vector<InterfaceVector> ifaces;
@@ -1451,19 +1422,19 @@ TEST(ShardZeroAlloc, SteadyStateWithCheckpointingAndReplayLog)
 
     MemoryReadout out;
     for (int i = 0; i < 5; ++i) // warm: two full checkpoint intervals
-        stack.coordinator->stepInterfaceInto(ifaces[i], out);
+        memory->stepInterfaceInto(ifaces[i], out);
 
     const std::uint64_t before =
         g_allocationCount.load(std::memory_order_relaxed);
     for (int i = 5; i < 11; ++i)
-        stack.coordinator->stepInterfaceInto(ifaces[i], out);
+        memory->stepInterfaceInto(ifaces[i], out);
     const std::uint64_t after =
         g_allocationCount.load(std::memory_order_relaxed);
     EXPECT_EQ(after - before, 0u)
         << "steady-state step with checkpointing performed heap "
            "allocations (checkpoint encode/decode, snapshot store, "
            "pending-frame tracking, or replay-log ring regressed)";
-    EXPECT_EQ(stack.coordinator->checkpointsTaken(), 5u);
+    EXPECT_EQ(cluster.group->checkpointsTaken(), 5u);
 }
 
 TEST(ShardZeroAlloc, SteadyStatePipelinedEngineWithCheckpointing)

@@ -70,7 +70,10 @@ TEST(Wire, HelloRoundTrip)
     cfg.approximateSoftmax = true;
     cfg.softmaxSegments = 12;
     cfg.numThreads = 4;
-    const WireConfig sent = WireConfig::fromShard(cfg, 3);
+    WireConfig sent = WireConfig::fromShard(cfg, 3);
+    EXPECT_EQ(sent.tiles, 3u) << "a lone worker hosts the whole tile set";
+    sent.tiles = 8; // a dealt slice: tiles 5..7 of 8
+    sent.firstTile = 5;
 
     WireWriter w;
     encodeHello(sent, w);
@@ -105,119 +108,6 @@ TEST(Wire, HelloAckRoundTrip)
     EXPECT_EQ(got.ok, sent.ok);
     EXPECT_EQ(got.hostedTiles, sent.hostedTiles);
     EXPECT_EQ(got.message, sent.message);
-}
-
-TEST(Wire, StepRoundTripPreservesEveryRealBitExactly)
-{
-    const DncConfig cfg = shardCfg();
-    StepMsg sent;
-    sent.seq = 0xDEADBEEFCAFEull;
-    sent.wantWeightings = true;
-    sent.scoredMask = 0b101;
-    sent.ifaces = {sampleIface(cfg, 1), sampleIface(cfg, 2)};
-
-    WireWriter w;
-    encodeStep(sent, cfg, w);
-    StepMsg got;
-    ASSERT_TRUE(
-        decodeStep(w.buffer().data(), w.buffer().size(), cfg, 2, got));
-    EXPECT_EQ(got.seq, sent.seq);
-    EXPECT_EQ(got.wantWeightings, sent.wantWeightings);
-    EXPECT_EQ(got.scoredMask, sent.scoredMask);
-    ASSERT_EQ(got.ifaces.size(), 2u);
-    for (Index t = 0; t < 2; ++t)
-        expectIfaceEqual(sent.ifaces[t], got.ifaces[t]);
-}
-
-TEST(Wire, StepBroadcastDecodesLikeSpanOfCopiesButShipsOneInterface)
-{
-    const DncConfig cfg = shardCfg();
-    const InterfaceVector iface = sampleIface(cfg, 5);
-    const std::vector<InterfaceVector> copies(3, iface);
-
-    WireWriter a, b;
-    encodeStepBroadcast(9, false, 0b11, iface, 3, a);
-    encodeStepSpan(9, false, 0b11, copies.data(), 3, b);
-    // The broadcast frame carries the interface once...
-    EXPECT_LT(a.buffer().size(), b.buffer().size() / 2);
-
-    // ...but decodes to the identical expanded message.
-    StepMsg fromBroadcast, fromSpan;
-    ASSERT_TRUE(decodeStep(a.buffer().data(), a.buffer().size(), cfg, 3,
-                           fromBroadcast));
-    ASSERT_TRUE(decodeStep(b.buffer().data(), b.buffer().size(), cfg, 3,
-                           fromSpan));
-    EXPECT_EQ(fromBroadcast.seq, fromSpan.seq);
-    EXPECT_EQ(fromBroadcast.scoredMask, fromSpan.scoredMask);
-    ASSERT_EQ(fromBroadcast.ifaces.size(), 3u);
-    for (Index t = 0; t < 3; ++t)
-        expectIfaceEqual(fromBroadcast.ifaces[t], fromSpan.ifaces[t]);
-}
-
-TEST(Wire, StepReplyRoundTrip)
-{
-    const DncConfig cfg = shardCfg();
-    const Index r = cfg.readHeads;
-    Rng rng(11);
-    std::vector<MemoryReadout> tiles(2);
-    std::vector<Real> confidence;
-    for (MemoryReadout &t : tiles) {
-        for (Index h = 0; h < r; ++h) {
-            t.readVectors.push_back(rng.normalVector(cfg.memoryWidth));
-            t.readWeightings.push_back(rng.uniformVector(cfg.memoryRows));
-        }
-        t.writeWeighting = rng.uniformVector(cfg.memoryRows);
-    }
-    for (Index i = 0; i < 2 * r; ++i)
-        confidence.push_back(rng.normal());
-
-    WireWriter w;
-    encodeStepReply(42, true, tiles.data(), tiles.size(), confidence, cfg,
-                    w);
-    StepReplyMsg got;
-    ASSERT_TRUE(decodeStepReply(w.buffer().data(), w.buffer().size(), cfg,
-                                2, got));
-    EXPECT_EQ(got.seq, 42u);
-    EXPECT_TRUE(got.hasWeightings);
-    ASSERT_EQ(got.tiles.size(), 2u);
-    EXPECT_EQ(got.confidence, confidence);
-    for (Index t = 0; t < 2; ++t) {
-        for (Index h = 0; h < r; ++h) {
-            EXPECT_TRUE(got.tiles[t].readVectors[h] ==
-                        tiles[t].readVectors[h]);
-            EXPECT_TRUE(got.tiles[t].readWeightings[h] ==
-                        tiles[t].readWeightings[h]);
-        }
-        EXPECT_TRUE(got.tiles[t].writeWeighting ==
-                    tiles[t].writeWeighting);
-    }
-}
-
-TEST(Wire, StepReplyWithoutWeightingsOmitsThem)
-{
-    const DncConfig cfg = shardCfg();
-    const Index r = cfg.readHeads;
-    Rng rng(13);
-    std::vector<MemoryReadout> tiles(1);
-    for (Index h = 0; h < r; ++h) {
-        tiles[0].readVectors.push_back(rng.normalVector(cfg.memoryWidth));
-        tiles[0].readWeightings.push_back(rng.uniformVector(cfg.memoryRows));
-    }
-    tiles[0].writeWeighting = rng.uniformVector(cfg.memoryRows);
-    const std::vector<Real> confidence(r, 0.5);
-
-    WireWriter lean, full;
-    encodeStepReply(1, false, tiles.data(), tiles.size(), confidence, cfg,
-                    lean);
-    encodeStepReply(1, true, tiles.data(), tiles.size(), confidence, cfg,
-                    full);
-    EXPECT_LT(lean.buffer().size(), full.buffer().size());
-
-    StepReplyMsg got;
-    ASSERT_TRUE(decodeStepReply(lean.buffer().data(), lean.buffer().size(),
-                                cfg, 1, got));
-    EXPECT_FALSE(got.hasWeightings);
-    EXPECT_TRUE(got.tiles[0].readWeightings.empty());
 }
 
 TEST(Wire, ControlAndAckRoundTrip)
@@ -255,19 +145,23 @@ TEST(Wire, LaneStepRoundTripPreservesEveryLane)
     const InterfaceVector a = sampleIface(cfg, 21);
     const InterfaceVector b = sampleIface(cfg, 22);
     const InterfaceVector c = sampleIface(cfg, 23);
-    const LaneStepEntry entries[] = {
-        {0, 0b001, &a}, {2, 0b111, &b}, {5, 0b000, &c}};
+    // Write tiles: every gate as emitted, a concrete tile, the last one.
+    const LaneStepEntry entries[] = {{0, 0b001, &a, kAllTiles},
+                                     {2, 0b111, &b, 1},
+                                     {5, 0b000, &c, 3}};
 
     WireWriter w;
     encodeLaneStep(0xFEEDu, true, entries, 3, w);
     LaneStepMsg got;
     ASSERT_TRUE(decodeLaneStep(w.buffer().data(), w.buffer().size(), cfg,
-                               /*lanes=*/6, got));
+                               /*lanes=*/6, /*tiles=*/4, got));
     EXPECT_EQ(got.seq, 0xFEEDu);
     EXPECT_TRUE(got.wantWeightings);
     ASSERT_EQ(got.lanes.size(), 3u);
     EXPECT_EQ(got.lanes, (std::vector<std::uint32_t>{0, 2, 5}));
     EXPECT_EQ(got.masks, (std::vector<std::uint32_t>{0b001, 0b111, 0b000}));
+    EXPECT_EQ(got.writeTiles,
+              (std::vector<std::uint32_t>{kAllTiles, 1, 3}));
     expectIfaceEqual(a, got.ifaces[0]);
     expectIfaceEqual(b, got.ifaces[1]);
     expectIfaceEqual(c, got.ifaces[2]);
@@ -284,31 +178,58 @@ TEST(Wire, LaneStepRejectsBadLaneLists)
     WireWriter w;
     encodeLaneStep(1, false, outOfRange, 1, w);
     EXPECT_FALSE(decodeLaneStep(w.buffer().data(), w.buffer().size(), cfg,
-                                /*lanes=*/4, out));
+                                /*lanes=*/4, /*tiles=*/2, out));
 
     // Duplicate lane (would race on that lane's tiles).
     const LaneStepEntry dup[] = {{1, 0, &iface}, {1, 0, &iface}};
     encodeLaneStep(2, false, dup, 2, w);
     EXPECT_FALSE(decodeLaneStep(w.buffer().data(), w.buffer().size(), cfg,
-                                4, out));
+                                4, 2, out));
 
     // Descending order.
     const LaneStepEntry desc[] = {{3, 0, &iface}, {1, 0, &iface}};
     encodeLaneStep(3, false, desc, 2, w);
     EXPECT_FALSE(decodeLaneStep(w.buffer().data(), w.buffer().size(), cfg,
-                                4, out));
+                                4, 2, out));
 
     // More lanes than hosted.
     const LaneStepEntry wide[] = {
         {0, 0, &iface}, {1, 0, &iface}, {2, 0, &iface}};
     encodeLaneStep(4, false, wide, 3, w);
     EXPECT_FALSE(decodeLaneStep(w.buffer().data(), w.buffer().size(), cfg,
-                                2, out));
+                                2, 2, out));
 
     // Zero lanes.
     encodeLaneStep(5, false, wide, 0, w);
     EXPECT_FALSE(decodeLaneStep(w.buffer().data(), w.buffer().size(), cfg,
-                                4, out));
+                                4, 2, out));
+}
+
+TEST(Wire, LaneStepWriteTileIsValidatedAgainstTheTileCount)
+{
+    const DncConfig cfg = shardCfg();
+    const InterfaceVector iface = sampleIface(cfg, 33);
+    LaneStepMsg out;
+    WireWriter w;
+
+    // The last tile and "every tile" pass; the first id past Nt and
+    // ids just short of kAllTiles fail closed.
+    for (std::uint32_t tile : {3u, static_cast<std::uint32_t>(kAllTiles)}) {
+        const LaneStepEntry ok[] = {{0, 0, &iface, 0}, {1, 0, &iface, tile}};
+        encodeLaneStep(6, false, ok, 2, w);
+        EXPECT_TRUE(decodeLaneStep(w.buffer().data(), w.buffer().size(), cfg,
+                                   /*lanes=*/2, /*tiles=*/4, out))
+            << "write tile " << tile;
+    }
+    for (std::uint32_t tile :
+         {4u, 1000u, static_cast<std::uint32_t>(kAllTiles) - 1}) {
+        const LaneStepEntry bad[] = {{0, 0, &iface, 0},
+                                     {1, 0, &iface, tile}};
+        encodeLaneStep(7, false, bad, 2, w);
+        EXPECT_FALSE(decodeLaneStep(w.buffer().data(), w.buffer().size(),
+                                    cfg, /*lanes=*/2, /*tiles=*/4, out))
+            << "write tile " << tile;
+    }
 }
 
 TEST(Wire, LaneStepReplyRoundTrip)
@@ -347,24 +268,78 @@ TEST(Wire, LaneStepReplyRoundTrip)
                                      cfg, hosted, /*maxLanes=*/1, got));
 }
 
+TEST(Wire, LaneStepReplyCarriesWeightingsOnlyWhenAsked)
+{
+    const DncConfig cfg = shardCfg();
+    const Index r = cfg.readHeads;
+    const Index hosted = 2;
+    const std::uint32_t lanes[] = {3};
+    Rng rng(13);
+    std::vector<MemoryReadout> readouts(hosted);
+    for (MemoryReadout &t : readouts) {
+        for (Index h = 0; h < r; ++h) {
+            t.readVectors.push_back(rng.normalVector(cfg.memoryWidth));
+            t.readWeightings.push_back(rng.uniformVector(cfg.memoryRows));
+        }
+        t.writeWeighting = rng.uniformVector(cfg.memoryRows);
+    }
+    const std::vector<Real> confidence(hosted * r, 0.5);
+
+    WireWriter lean, full;
+    encodeLaneStepReply(1, false, lanes, 1, hosted, readouts, confidence,
+                        cfg, lean);
+    encodeLaneStepReply(1, true, lanes, 1, hosted, readouts, confidence,
+                        cfg, full);
+    EXPECT_LT(lean.buffer().size(), full.buffer().size());
+
+    LaneStepReplyMsg got;
+    ASSERT_TRUE(decodeLaneStepReply(full.buffer().data(),
+                                    full.buffer().size(), cfg, hosted, 1,
+                                    got));
+    EXPECT_TRUE(got.hasWeightings);
+    for (Index t = 0; t < hosted; ++t) {
+        for (Index h = 0; h < r; ++h)
+            EXPECT_TRUE(got.tiles[t].readWeightings[h] ==
+                        readouts[t].readWeightings[h]);
+        EXPECT_TRUE(got.tiles[t].writeWeighting ==
+                    readouts[t].writeWeighting);
+    }
+
+    // The lean decode drops the weightings a full one left behind.
+    ASSERT_TRUE(decodeLaneStepReply(lean.buffer().data(),
+                                    lean.buffer().size(), cfg, hosted, 1,
+                                    got));
+    EXPECT_FALSE(got.hasWeightings);
+    for (Index t = 0; t < hosted; ++t) {
+        EXPECT_TRUE(got.tiles[t].readWeightings.empty());
+        EXPECT_EQ(got.tiles[t].writeWeighting.size(), 0u);
+        for (Index h = 0; h < r; ++h)
+            EXPECT_TRUE(got.tiles[t].readVectors[h] ==
+                        readouts[t].readVectors[h]);
+    }
+}
+
 TEST(WireMalformed, LaneStepTruncationAtEveryByteIsRejected)
 {
     const DncConfig cfg = shardCfg();
     const InterfaceVector a = sampleIface(cfg, 41);
     const InterfaceVector b = sampleIface(cfg, 42);
-    const LaneStepEntry entries[] = {{0, 0b11, &a}, {3, 0b01, &b}};
+    const LaneStepEntry entries[] = {{0, 0b11, &a, kAllTiles},
+                                     {3, 0b01, &b, 1}};
     WireWriter w;
     encodeLaneStep(12, false, entries, 2, w);
 
     LaneStepMsg out;
+    ASSERT_TRUE(decodeLaneStep(w.buffer().data(), w.buffer().size(), cfg, 4,
+                               2, out));
     for (std::size_t len = 0; len < w.buffer().size(); ++len)
-        EXPECT_FALSE(decodeLaneStep(w.buffer().data(), len, cfg, 4, out))
+        EXPECT_FALSE(decodeLaneStep(w.buffer().data(), len, cfg, 4, 2, out))
             << "truncated LaneStep of " << len << " bytes decoded";
 
     // Trailing garbage after a well-formed frame is rejected too.
     std::vector<std::uint8_t> frame = w.buffer();
     frame.push_back(0xAB);
-    EXPECT_FALSE(decodeLaneStep(frame.data(), frame.size(), cfg, 4, out));
+    EXPECT_FALSE(decodeLaneStep(frame.data(), frame.size(), cfg, 4, 2, out));
 }
 
 TEST(WireMalformed, LaneStepReplyTruncationAtEveryByteIsRejected)
@@ -402,7 +377,7 @@ TEST(WireMalformed, LaneStepAdversarialCountsDoNotAllocate)
     w.putU32(0xFFFFFFFF); // laneCount — absurd
     LaneStepMsg out;
     EXPECT_FALSE(decodeLaneStep(w.buffer().data(), w.buffer().size(),
-                                shardCfg(), 8, out));
+                                shardCfg(), 8, 1, out));
 }
 
 TEST(Wire, ErrorRoundTripAndPeek)
@@ -424,21 +399,6 @@ TEST(Wire, ErrorRoundTripAndPeek)
 // --------------------------------------------------------------------
 // Malformed frames.
 // --------------------------------------------------------------------
-
-TEST(WireMalformed, TruncationAtEveryByteIsRejected)
-{
-    const DncConfig cfg = shardCfg();
-    StepMsg sent;
-    sent.seq = 3;
-    sent.ifaces = {sampleIface(cfg, 7), sampleIface(cfg, 8)};
-    WireWriter w;
-    encodeStep(sent, cfg, w);
-
-    StepMsg out;
-    for (std::size_t len = 0; len < w.buffer().size(); ++len)
-        EXPECT_FALSE(decodeStep(w.buffer().data(), len, cfg, 2, out))
-            << "truncated frame of " << len << " bytes decoded";
-}
 
 TEST(WireMalformed, HeaderCorruptionIsRejected)
 {
@@ -466,25 +426,24 @@ TEST(WireMalformed, HeaderCorruptionIsRejected)
 TEST(WireMalformed, WrongShapesAreRejected)
 {
     const DncConfig cfg = shardCfg();
-    StepMsg sent;
-    sent.ifaces = {sampleIface(cfg, 9)};
+    const InterfaceVector iface = sampleIface(cfg, 9);
+    const LaneStepEntry entry{0, 0, &iface};
     WireWriter w;
-    encodeStep(sent, cfg, w);
+    encodeLaneStep(1, false, &entry, 1, w);
 
-    StepMsg out;
-    // Tile-count mismatch.
-    EXPECT_FALSE(decodeStep(w.buffer().data(), w.buffer().size(), cfg, 2,
-                            out));
+    LaneStepMsg out;
+    ASSERT_TRUE(decodeLaneStep(w.buffer().data(), w.buffer().size(), cfg, 1,
+                               1, out));
     // Shape mismatch: the receiver expects a wider W.
     DncConfig wide = cfg;
     wide.memoryWidth = cfg.memoryWidth + 4;
-    EXPECT_FALSE(decodeStep(w.buffer().data(), w.buffer().size(), wide, 1,
-                            out));
+    EXPECT_FALSE(decodeLaneStep(w.buffer().data(), w.buffer().size(), wide,
+                                1, 1, out));
     // Head-count mismatch.
     DncConfig heads = cfg;
     heads.readHeads = cfg.readHeads + 1;
-    EXPECT_FALSE(decodeStep(w.buffer().data(), w.buffer().size(), heads, 1,
-                            out));
+    EXPECT_FALSE(decodeLaneStep(w.buffer().data(), w.buffer().size(), heads,
+                                1, 1, out));
 }
 
 TEST(WireMalformed, TrailingGarbageIsRejected)
@@ -499,30 +458,32 @@ TEST(WireMalformed, TrailingGarbageIsRejected)
 
 TEST(WireMalformed, AdversarialCountsDoNotAllocate)
 {
-    // A hand-built Step frame declaring 4 billion read keys: the
+    // A hand-built LaneStep frame declaring 4 billion read keys: the
     // decoder must reject on the count check, not resize first.
     WireWriter w;
-    w.header(MsgType::Step);
+    w.header(MsgType::LaneStep);
     w.putU64(1);          // seq
     w.putU8(0);           // wantWeightings
+    w.putU32(1);          // one lane
+    w.putU32(0);          // lane 0
     w.putU32(0);          // scoredMask
-    w.putU8(0);           // per-tile interfaces
-    w.putU32(1);          // one tile
+    w.putU32(0);          // write tile
     w.putU32(0xFFFFFFFF); // readKeys count — absurd
-    StepMsg out;
-    EXPECT_FALSE(decodeStep(w.buffer().data(), w.buffer().size(), shardCfg(),
-                            1, out));
+    LaneStepMsg out;
+    EXPECT_FALSE(decodeLaneStep(w.buffer().data(), w.buffer().size(),
+                                shardCfg(), 1, 1, out));
 
     // Same for a vector length beyond the remaining bytes.
     WireWriter v;
-    v.header(MsgType::StepReply);
+    v.header(MsgType::LaneStepReply);
     v.putU64(1);
     v.putU8(0);
-    v.putU32(1);          // one tile
+    v.putU32(1);          // one lane
+    v.putU32(0);          // lane 0
     v.putU32(0x40000000); // first read vector claims 2^30 reals
-    StepReplyMsg reply;
-    EXPECT_FALSE(decodeStepReply(v.buffer().data(), v.buffer().size(),
-                                 shardCfg(), 1, reply));
+    LaneStepReplyMsg reply;
+    EXPECT_FALSE(decodeLaneStepReply(v.buffer().data(), v.buffer().size(),
+                                     shardCfg(), 1, 1, reply));
 }
 
 // --------------------------------------------------------------------
@@ -543,14 +504,14 @@ TEST(Wire, CheckpointRequestAndRejoinRoundTrip)
 
     DncConfig cfg = shardCfg();
     cfg.fixedPoint = true;
-    const WireConfig sent = WireConfig::fromShard(cfg, 3, /*lanes=*/2);
-    encodeRejoin(sent, /*firstTile=*/5, w);
+    WireConfig sent = WireConfig::fromShard(cfg, 3, /*lanes=*/2);
+    sent.tiles = 8;
+    sent.firstTile = 5;
+    encodeRejoin(sent, w);
     WireConfig got;
-    std::uint64_t firstTile = 0;
-    ASSERT_TRUE(
-        decodeRejoin(w.buffer().data(), w.buffer().size(), got, firstTile));
+    ASSERT_TRUE(decodeRejoin(w.buffer().data(), w.buffer().size(), got));
     EXPECT_EQ(got, sent);
-    EXPECT_EQ(firstTile, 5u);
+    EXPECT_EQ(got.firstTile, 5u);
 }
 
 TEST(Wire, CheckpointStateRestoresABitExactReplica)
@@ -661,12 +622,10 @@ TEST(WireMalformed, CheckpointFrameTruncationAtEveryByteIsRejected)
             << "truncated CheckpointRequest of " << len << " bytes decoded";
 
     WireWriter rejoin;
-    encodeRejoin(WireConfig::fromShard(cfg, 2), 1, rejoin);
+    encodeRejoin(WireConfig::fromShard(cfg, 2), rejoin);
     WireConfig outCfg;
-    std::uint64_t firstTile = 0;
     for (std::size_t len = 0; len < rejoin.buffer().size(); ++len)
-        EXPECT_FALSE(decodeRejoin(rejoin.buffer().data(), len, outCfg,
-                                  firstTile))
+        EXPECT_FALSE(decodeRejoin(rejoin.buffer().data(), len, outCfg))
             << "truncated Rejoin of " << len << " bytes decoded";
 
     std::vector<std::unique_ptr<MemoryUnit>> tiles;
@@ -741,17 +700,70 @@ TEST(WireVersionSkew, V2PeerIsRejectedAtEveryDecoder)
     WireConfig got;
     EXPECT_FALSE(decodeHello(frame.data(), frame.size(), got));
 
-    std::uint64_t firstTile = 0;
-    encodeRejoin(WireConfig::fromShard(cfg, 2), 0, w);
+    encodeRejoin(WireConfig::fromShard(cfg, 2), w);
     frame = w.buffer();
     frame[2] = 2;
-    EXPECT_FALSE(decodeRejoin(frame.data(), frame.size(), got, firstTile));
+    EXPECT_FALSE(decodeRejoin(frame.data(), frame.size(), got));
 
     std::uint64_t seq = 0;
     encodeCheckpointRequest(9, w);
     frame = w.buffer();
     frame[2] = 2;
     EXPECT_FALSE(decodeCheckpointRequest(frame.data(), frame.size(), seq));
+}
+
+TEST(WireVersionSkew, V6PeerIsRejectedAtTheHandshakeAndOnLaneSteps)
+{
+    // v7 moved the write tile onto LaneStep and the tile slice into the
+    // handshake: a v6 peer (version byte 6) must fail closed, and the
+    // retired Step/StepReply type slots must not parse as messages.
+    const DncConfig cfg = shardCfg();
+    WireWriter w;
+    encodeHello(WireConfig::fromShard(cfg, 2), w);
+    std::vector<std::uint8_t> frame = w.buffer();
+    ASSERT_EQ(kWireVersion, 7);
+    frame[2] = 6;
+    MsgType type;
+    EXPECT_FALSE(peekType(frame.data(), frame.size(), type));
+    WireConfig got;
+    EXPECT_FALSE(decodeHello(frame.data(), frame.size(), got));
+
+    const InterfaceVector iface = sampleIface(cfg, 51);
+    const LaneStepEntry entry{0, 0, &iface};
+    encodeLaneStep(1, false, &entry, 1, w);
+    frame = w.buffer();
+    frame[2] = 6;
+    LaneStepMsg step;
+    EXPECT_FALSE(decodeLaneStep(frame.data(), frame.size(), cfg, 1, 1, step));
+
+    // A worker handed a v6 Hello answers with an Error and stays
+    // unconfigured.
+    ShardWorker worker;
+    struct Collect final : FrameSink
+    {
+        std::vector<std::vector<std::uint8_t>> frames;
+        void
+        sendFrame(const std::uint8_t *data, std::size_t size) override
+        {
+            frames.emplace_back(data, data + size);
+        }
+    } sink;
+    encodeHello(WireConfig::fromShard(cfg, 2), w);
+    frame = w.buffer();
+    frame[2] = 6;
+    worker.handleFrame(frame.data(), frame.size(), sink);
+    EXPECT_FALSE(worker.configured());
+    ASSERT_EQ(sink.frames.size(), 1u);
+    ErrorMsg err;
+    EXPECT_TRUE(decodeError(sink.frames[0].data(), sink.frames[0].size(),
+                            err));
+
+    for (std::uint8_t retired : {3, 4}) {
+        frame[2] = kWireVersion;
+        frame[3] = retired;
+        EXPECT_FALSE(peekType(frame.data(), frame.size(), type))
+            << "type " << int(retired);
+    }
 }
 
 // --------------------------------------------------------------------
@@ -788,7 +800,7 @@ TEST(Transport, LoopbackDeliversInOrderAndCountsBytes)
 
 // --------------------------------------------------------------------
 // LoopbackChannel inbox-ring reuse across a worker's serving life:
-// multiple outstanding Steps, Admit controls mid-stream, back-to-back
+// multiple outstanding LaneSteps, Admit controls mid-stream, back-to-back
 // episodes on the same channel — the reply ring must hand frames back
 // in order through every transition.
 // --------------------------------------------------------------------
@@ -829,19 +841,20 @@ TEST(Transport, LoopbackInboxRingSurvivesEpisodesAndOutstandingSteps)
         ASSERT_TRUE(decodeControlAck(frame.data(), frame.size(), ackSeq));
         EXPECT_EQ(ackSeq, admit.seq);
 
-        // Three Steps queued before any reply is popped: the inbox ring
+        // Three LaneSteps queued before any reply is popped: the inbox ring
         // must hold multiple outstanding replies and deliver them in
         // send order with the matching sequence ids.
         const std::uint64_t firstSeq = seq + 1;
+        const LaneStepEntry entry{0, 0b1, &iface};
         for (int burst = 0; burst < 3; ++burst) {
-            encodeStepBroadcast(++seq, false, 0b1, iface, hosted, w);
+            encodeLaneStep(++seq, false, &entry, 1, w);
             chan.sendFrame(w.buffer().data(), w.buffer().size());
         }
         for (int burst = 0; burst < 3; ++burst) {
             ASSERT_TRUE(chan.recvFrame(frame));
-            StepReplyMsg reply;
-            ASSERT_TRUE(decodeStepReply(frame.data(), frame.size(), cfg,
-                                        hosted, reply));
+            LaneStepReplyMsg reply;
+            ASSERT_TRUE(decodeLaneStepReply(frame.data(), frame.size(), cfg,
+                                            hosted, 1, reply));
             EXPECT_EQ(reply.seq, firstSeq + burst)
                 << "episode " << episode << " reply out of order";
         }
@@ -852,10 +865,10 @@ TEST(Transport, LoopbackInboxRingSurvivesEpisodesAndOutstandingSteps)
 
     // The channel classified traffic per message type.
     EXPECT_EQ(chan.sentStats()
-                  .frames[static_cast<std::size_t>(MsgType::Step)],
+                  .frames[static_cast<std::size_t>(MsgType::LaneStep)],
               9u);
     EXPECT_EQ(chan.receivedStats()
-                  .frames[static_cast<std::size_t>(MsgType::StepReply)],
+                  .frames[static_cast<std::size_t>(MsgType::LaneStepReply)],
               9u);
     EXPECT_EQ(chan.sentStats()
                   .frames[static_cast<std::size_t>(MsgType::Control)],
